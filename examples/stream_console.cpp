@@ -6,10 +6,10 @@
 //   ./build/examples/stream_console
 //   echo "SUM eth0 LAST 60" | ./build/examples/stream_console -
 //
-// Everything answered here comes from constant-size synopses: the
-// (1+eps)-approximate window histogram, the lifetime agglomerative
-// histogram, a GK quantile summary and an FM distinct sketch. The raw
-// stream is never stored beyond the sliding window.
+// Everything answered here comes from compact synopses: the
+// (1+eps)-approximate window histogram, a GK quantile summary and an FM
+// distinct sketch. The raw stream is never stored beyond the sliding
+// window.
 
 #include <cstdio>
 #include <cstring>

@@ -87,9 +87,6 @@ const std::string& QuerySnapshot::describe() const {
       } else {
         os << "; build=exact";
       }
-      if (describe_seed.has_lifetime) {
-        os << "; lifetime error=" << describe_seed.lifetime_error;
-      }
       if (quantiles != nullptr && quantiles->size() > 0) {
         os << "; p50=" << quantiles->Quantile(0.5);
       }
@@ -175,15 +172,6 @@ Result<ManagedStream> ManagedStream::Create(const StreamConfig& config) {
   if (stream.config_.publish_staleness_ms < 0) {
     stream.config_.publish_staleness_ms = DefaultPublishStalenessMillis();
   }
-  if (config.keep_lifetime_histogram) {
-    ApproxHistogramOptions lifetime_options;
-    lifetime_options.num_buckets = config.num_buckets;
-    lifetime_options.epsilon = config.epsilon;
-    STREAMHIST_ASSIGN_OR_RETURN(AgglomerativeHistogram lifetime,
-                                AgglomerativeHistogram::Create(lifetime_options));
-    stream.lifetime_ =
-        std::make_unique<AgglomerativeHistogram>(std::move(lifetime));
-  }
   if (config.keep_quantiles) {
     STREAMHIST_ASSIGN_OR_RETURN(GKSummary summary,
                                 GKSummary::Create(config.quantile_epsilon));
@@ -215,7 +203,6 @@ ManagedStream::ManagedStream(ManagedStream&& other) noexcept
       publish_version_(other.publish_version_),
       last_degradation_(std::move(other.last_degradation_)),
       window_(std::move(other.window_)),
-      lifetime_(std::move(other.lifetime_)),
       quantiles_(std::move(other.quantiles_)),
       distinct_(std::move(other.distinct_)),
       snapshot_cell_(std::move(other.snapshot_cell_)),
@@ -233,7 +220,6 @@ ManagedStream& ManagedStream::operator=(ManagedStream&& other) noexcept {
   publish_version_ = other.publish_version_;
   last_degradation_ = std::move(other.last_degradation_);
   window_ = std::move(other.window_);
-  lifetime_ = std::move(other.lifetime_);
   quantiles_ = std::move(other.quantiles_);
   distinct_ = std::move(other.distinct_);
   snapshot_cell_ = std::move(other.snapshot_cell_);
@@ -251,7 +237,6 @@ void ManagedStream::AppendValue(double value) {
   }
   window_->Append(value);
   publish_->window_changed = true;
-  if (lifetime_ != nullptr) lifetime_->Append(value);
   if (quantiles_ != nullptr) {
     quantiles_->Insert(value);
     publish_->quantiles_changed = true;
@@ -315,7 +300,6 @@ int64_t ManagedStream::total_points() const {
 int64_t ManagedStream::MemoryBytes() const {
   int64_t bytes = static_cast<int64_t>(sizeof(ManagedStream));
   if (window_ != nullptr) bytes += window_->MemoryBytes();
-  if (lifetime_ != nullptr) bytes += lifetime_->MemoryBytes();
   if (quantiles_ != nullptr) bytes += quantiles_->MemoryBytes();
   if (distinct_ != nullptr) bytes += distinct_->MemoryBytes();
   return bytes;
@@ -328,8 +312,8 @@ int64_t ManagedStream::EstimateFootprintBytes(const StreamConfig& config) {
   int64_t bytes = n * 8 + 2 * (n + 1) * 16;
   // Fixed-window memo table and epoch stamps: (B+1) * (n+1) slots.
   bytes += (b + 1) * (n + 1) * (16 + 4);
-  // Interval lists, GK summary, FM sketch, lifetime queues: these are the
-  // logarithmic-size synopses; a flat allowance covers their steady state.
+  // Interval lists, GK summary, FM sketch: these are the logarithmic-size
+  // synopses; a flat allowance covers their steady state.
   bytes += 64 * 1024;
   return bytes;
 }
@@ -499,9 +483,6 @@ std::string ManagedStream::Describe() {
   } else {
     os << "; build=exact";
   }
-  if (lifetime_ != nullptr) {
-    os << "; lifetime error=" << lifetime_->ApproxError();
-  }
   if (quantiles_ != nullptr && quantiles_->size() > 0) {
     os << "; p50=" << quantiles_->Quantile(0.5);
   }
@@ -570,10 +551,6 @@ void ManagedStream::PublishSnapshot() {
   seed.epsilon = config_.epsilon;
   seed.build_approx = config_.build_mode == WindowBuildMode::kApprox;
   seed.build_delta = config_.build_delta;
-  if (lifetime_ != nullptr) {
-    seed.has_lifetime = true;
-    seed.lifetime_error = lifetime_->ApproxError();  // O(1): maintained bound
-  }
   seed.wal_lsn = wal_lsn_;
   seed.degraded_builds = degraded_builds_;
   if (degraded_builds_ > 0 && last_degradation_.degraded) {
@@ -603,20 +580,14 @@ std::shared_ptr<const QuerySnapshot> ManagedStream::AcquireSnapshot() const {
 
 namespace {
 constexpr uint32_t kStreamMagic = 0x53484D53;  // "SHMS"
-// v1: config through keep_distinct + dropped + synopsis blobs.
-// v2: adds build_mode (bool: approx?) + build_delta after keep_distinct.
-// v3: adds degraded_builds after dropped_nonfinite.
-// v4: appends a length-prefixed per-verb stats block (stream_stats.h) after
-//     the synopsis blobs — strictly at the tail, so every v1-v3 field keeps
-//     its byte offset.
-// v5: appends the stream's applied WAL LSN (i64) after the stats block —
-//     again strictly at the tail. v1-v4 snapshots restore with LSN 0,
-//     which makes recovery replay the whole retained log against them
-//     (idempotent-safe: see query_engine.cc replay filtering).
-// v6: appends a length-prefixed publication-stats block (PublishStats,
-//     stream_stats.h) after the WAL LSN — strictly at the tail. v1-v5
-//     snapshots restore with zeroed publication telemetry.
-constexpr uint32_t kStreamVersion = 6;
+// One version loads: the current one (DESIGN.md §8.2 has the layout).
+// Config (window i64, buckets i64, eps f64, keep_quantiles b,
+// quantile_eps f64, keep_distinct b, build_approx b, build_delta f64),
+// dropped_nonfinite i64, degraded_builds i64, then length-prefixed blobs for
+// the window histogram, the GK summary and the FM sketch (each only when
+// enabled), the per-verb stats block, the applied WAL LSN i64, and the
+// publication-stats block.
+constexpr uint32_t kStreamVersion = 7;
 }  // namespace
 
 std::string ManagedStream::Snapshot(int64_t wal_lsn_floor) const {
@@ -624,7 +595,6 @@ std::string ManagedStream::Snapshot(int64_t wal_lsn_floor) const {
   payload.PutI64(config_.window_size);
   payload.PutI64(config_.num_buckets);
   payload.PutF64(config_.epsilon);
-  payload.PutBool(config_.keep_lifetime_histogram);
   payload.PutBool(config_.keep_quantiles);
   payload.PutF64(config_.quantile_epsilon);
   payload.PutBool(config_.keep_distinct);
@@ -633,7 +603,6 @@ std::string ManagedStream::Snapshot(int64_t wal_lsn_floor) const {
   payload.PutI64(dropped_nonfinite_);
   payload.PutI64(degraded_builds_);
   payload.PutLengthPrefixed(window_->Serialize());
-  if (lifetime_ != nullptr) payload.PutLengthPrefixed(lifetime_->Serialize());
   if (quantiles_ != nullptr) {
     payload.PutLengthPrefixed(quantiles_->Serialize());
   }
@@ -647,42 +616,29 @@ std::string ManagedStream::Snapshot(int64_t wal_lsn_floor) const {
 Result<ManagedStream> ManagedStream::Restore(std::string_view bytes) {
   STREAMHIST_ASSIGN_OR_RETURN(FrameView frame,
                               UnwrapFrame(bytes, kStreamMagic, "stream"));
-  // Older snapshots stay loadable per the EXPERIMENTS.md version policy;
-  // fields they predate get zero / config defaults.
-  if (frame.version < 1 || frame.version > kStreamVersion) {
+  // Only the current version loads (EXPERIMENTS.md version policy).
+  if (frame.version != kStreamVersion) {
     return Status::InvalidArgument("unsupported stream snapshot version");
   }
   ByteReader reader(frame.payload);
   StreamConfig config;
   int64_t dropped = 0;
   int64_t degraded_builds = 0;
+  bool approx = false;
   std::string_view window_bytes;
   if (!reader.ReadI64(&config.window_size) ||
       !reader.ReadI64(&config.num_buckets) ||
       !reader.ReadF64(&config.epsilon) ||
-      !reader.ReadBool(&config.keep_lifetime_histogram) ||
       !reader.ReadBool(&config.keep_quantiles) ||
       !reader.ReadF64(&config.quantile_epsilon) ||
-      !reader.ReadBool(&config.keep_distinct)) {
+      !reader.ReadBool(&config.keep_distinct) || !reader.ReadBool(&approx) ||
+      !reader.ReadF64(&config.build_delta) || !reader.ReadI64(&dropped) ||
+      !reader.ReadI64(&degraded_builds) ||
+      !reader.ReadLengthPrefixed(&window_bytes)) {
     return Status::InvalidArgument("truncated stream snapshot");
   }
-  if (frame.version >= 2) {
-    bool approx = false;
-    if (!reader.ReadBool(&approx) || !reader.ReadF64(&config.build_delta)) {
-      return Status::InvalidArgument("truncated stream snapshot");
-    }
-    config.build_mode =
-        approx ? WindowBuildMode::kApprox : WindowBuildMode::kExact;
-  }
-  if (!reader.ReadI64(&dropped)) {
-    return Status::InvalidArgument("truncated stream snapshot");
-  }
-  if (frame.version >= 3 && !reader.ReadI64(&degraded_builds)) {
-    return Status::InvalidArgument("truncated stream snapshot");
-  }
-  if (!reader.ReadLengthPrefixed(&window_bytes)) {
-    return Status::InvalidArgument("truncated stream snapshot");
-  }
+  config.build_mode =
+      approx ? WindowBuildMode::kApprox : WindowBuildMode::kExact;
   if (dropped < 0 || degraded_builds < 0) {
     return Status::InvalidArgument("stream counters violate invariants");
   }
@@ -701,15 +657,6 @@ Result<ManagedStream> ManagedStream::Restore(std::string_view bytes) {
   }
   *stream.window_ = std::move(window);
 
-  if (config.keep_lifetime_histogram) {
-    std::string_view sub;
-    if (!reader.ReadLengthPrefixed(&sub)) {
-      return Status::InvalidArgument("truncated lifetime histogram snapshot");
-    }
-    STREAMHIST_ASSIGN_OR_RETURN(AgglomerativeHistogram lifetime,
-                                AgglomerativeHistogram::Deserialize(sub));
-    *stream.lifetime_ = std::move(lifetime);
-  }
   if (config.keep_quantiles) {
     std::string_view sub;
     if (!reader.ReadLengthPrefixed(&sub)) {
@@ -727,29 +674,19 @@ Result<ManagedStream> ManagedStream::Restore(std::string_view bytes) {
     STREAMHIST_ASSIGN_OR_RETURN(FMSketch distinct, FMSketch::Deserialize(sub));
     *stream.distinct_ = std::move(distinct);
   }
-  if (frame.version >= 4) {
-    std::string_view sub;
-    if (!reader.ReadLengthPrefixed(&sub)) {
-      return Status::InvalidArgument("truncated stats snapshot");
-    }
-    if (Status s = stream.stats_->Deserialize(sub); !s.ok()) return s;
+  std::string_view stats_bytes, publish_bytes;
+  int64_t wal_lsn = 0;
+  if (!reader.ReadLengthPrefixed(&stats_bytes) || !reader.ReadI64(&wal_lsn) ||
+      !reader.ReadLengthPrefixed(&publish_bytes)) {
+    return Status::InvalidArgument("truncated stream snapshot");
   }
-  if (frame.version >= 5) {
-    int64_t wal_lsn = 0;
-    if (!reader.ReadI64(&wal_lsn)) {
-      return Status::InvalidArgument("truncated stream snapshot");
-    }
-    if (wal_lsn < 0) {
-      return Status::InvalidArgument("stream counters violate invariants");
-    }
-    stream.wal_lsn_ = wal_lsn;
+  if (wal_lsn < 0) {
+    return Status::InvalidArgument("stream counters violate invariants");
   }
-  if (frame.version >= 6) {
-    std::string_view sub;
-    if (!reader.ReadLengthPrefixed(&sub)) {
-      return Status::InvalidArgument("truncated publish-stats snapshot");
-    }
-    if (Status s = stream.publish_->stats.Deserialize(sub); !s.ok()) return s;
+  stream.wal_lsn_ = wal_lsn;
+  if (Status s = stream.stats_->Deserialize(stats_bytes); !s.ok()) return s;
+  if (Status s = stream.publish_->stats.Deserialize(publish_bytes); !s.ok()) {
+    return s;
   }
   if (!reader.AtEnd()) {
     return Status::InvalidArgument("trailing bytes after stream snapshot");

@@ -10,7 +10,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/core/agglomerative.h"
 #include "src/core/fixed_window.h"
 #include "src/core/histogram.h"
 #include "src/engine/stream_stats.h"
@@ -42,12 +41,10 @@ const char* BuildRungName(BuildRung rung);
 struct StreamConfig {
   /// Sliding-window length for the fixed-window histogram.
   int64_t window_size = 1024;
-  /// Bucket budget for both histograms.
+  /// Bucket budget for the window histogram.
   int64_t num_buckets = 16;
-  /// Approximation slack for both histograms.
+  /// Approximation slack for the window histogram.
   double epsilon = 0.1;
-  /// Maintain a whole-stream AgglomerativeHistogram as well.
-  bool keep_lifetime_histogram = true;
   /// Maintain a GK quantile summary of the value distribution.
   bool keep_quantiles = true;
   /// Rank slack of the quantile summary.
@@ -194,8 +191,6 @@ struct QuerySnapshot {
     double epsilon = 0.0;
     bool build_approx = false;
     double build_delta = 0.0;
-    bool has_lifetime = false;
-    double lifetime_error = 0.0;
     int64_t wal_lsn = 0;
     int64_t degraded_builds = 0;
     std::string last_degradation;  // empty when no degraded build yet
@@ -274,7 +269,7 @@ class ManagedStream {
   }
 
   /// Publication telemetry: publishes, coalesced skips, max staleness,
-  /// publish latency histogram (thread-safe; SHMS v6 checkpoint tail).
+  /// publish latency histogram (thread-safe; carried in SHMS checkpoints).
   PublishStats& publish_stats();
   const PublishStats& publish_stats() const;
 
@@ -293,9 +288,6 @@ class ManagedStream {
   /// The sliding-window histogram (always present).
   FixedWindowHistogram& window_histogram() { return *window_; }
 
-  /// Lifetime histogram; null when disabled.
-  AgglomerativeHistogram* lifetime_histogram() { return lifetime_.get(); }
-
   /// Value-quantile summary; null when disabled.
   const GKSummary* quantiles() const { return quantiles_.get(); }
 
@@ -312,7 +304,7 @@ class ManagedStream {
   /// Highest WAL LSN applied to this stream's synopses (0 when the stream
   /// never ran under a WAL). The engine's log-before-apply ordering keeps
   /// the setter under the stream's writer mutex; recovery replays only
-  /// records above it. Carried in the SHMS v5 snapshot tail.
+  /// records above it. Carried in SHMS checkpoints.
   int64_t wal_lsn() const { return wal_lsn_; }
   void set_wal_lsn(int64_t lsn) { wal_lsn_ = lsn; }
 
@@ -367,7 +359,7 @@ class ManagedStream {
   std::shared_ptr<const QuerySnapshot> AcquireSnapshot() const;
 
   /// Per-verb execution counters for this stream (thread-safe to record
-  /// into; carried through SHMS v4 checkpoints).
+  /// into; carried in SHMS checkpoints).
   QueryStats& stats() { return *stats_; }
   const QueryStats& stats() const { return *stats_; }
 
@@ -401,7 +393,6 @@ class ManagedStream {
   DegradationReport last_degradation_;
   // unique_ptr keeps the type movable despite the large synopsis states.
   std::unique_ptr<FixedWindowHistogram> window_;
-  std::unique_ptr<AgglomerativeHistogram> lifetime_;
   std::unique_ptr<GKSummary> quantiles_;
   std::unique_ptr<FMSketch> distinct_;
   // shared_ptr (not unique_ptr): readers may still hold the cell's address

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <cctype>
 #include <charconv>
@@ -115,12 +114,11 @@ Result<std::pair<int64_t, int64_t>> ParseRange(
 // Each frame carries its own CRC32C, so corruption is localized to one
 // section and the remaining streams still load.
 //
-// v2 appends the engine's global WAL LSN floor to the header payload — the
-// highest log position the image is guaranteed to reflect, and therefore
-// the safe truncation horizon. v1 files still load (floor 0).
+// The header payload is the stream count and the engine's global WAL LSN
+// floor — the highest log position the image is guaranteed to reflect, and
+// therefore the safe truncation horizon. Only the current version loads.
 constexpr uint32_t kCheckpointMagic = 0x53484350;  // "SHCP"
-constexpr uint32_t kCheckpointVersion = 1;
-constexpr uint32_t kCheckpointVersionWal = 2;
+constexpr uint32_t kCheckpointVersion = 2;
 constexpr uint32_t kSectionMagic = 0x53485354;  // "SHST"
 constexpr uint32_t kSectionVersion = 1;
 
@@ -228,7 +226,7 @@ int64_t SteadyNowMs() {
 void QueryEngine::EnsureFlusher(int64_t bound_ms) {
   if (bound_ms <= 0) return;
   const int64_t tick = std::max<int64_t>(1, bound_ms / 2);
-  const std::lock_guard<std::mutex> lock(*flusher_mu_);
+  const std::lock_guard<std::mutex> lock(flusher_mu_);
   if (flusher_ != nullptr) {
     // A stream with a tighter bound appeared: shrink the cadence. (Relaxed
     // is fine — the thread re-reads the tick every wakeup.)
@@ -239,7 +237,7 @@ void QueryEngine::EnsureFlusher(int64_t bound_ms) {
     return;
   }
   flusher_ = std::make_unique<FlusherState>();
-  flusher_->registry = registry_.get();
+  flusher_->registry = &registry_;
   flusher_->tick_ms.store(tick, std::memory_order_relaxed);
   FlusherState* st = flusher_.get();
   st->thread = std::thread([st] {
@@ -264,46 +262,8 @@ void QueryEngine::EnsureFlusher(int64_t bound_ms) {
   });
 }
 
-namespace {
-// The WAL checkpointer thread captures the engine's `this` (and its
-// WalState pointer); moving an engine with an open WAL would leave that
-// thread running against a dead shell. The header documents the rule —
-// enforce it here rather than trusting the comment.
-void AbortIfWalOpen(const void* wal_state) {
-  if (wal_state == nullptr) return;
-  std::fprintf(stderr,
-               "fatal: QueryEngine moved while its WAL is open; "
-               "call CloseWal() first\n");
-  std::abort();
-}
-}  // namespace
-
 QueryEngine::QueryEngine() : repl_(std::make_unique<ReplState>()) {}
 QueryEngine::~QueryEngine() { (void)CloseWal(); }
-QueryEngine::QueryEngine(QueryEngine&& other) noexcept {
-  AbortIfWalOpen(other.wal_.get());
-  registry_ = std::move(other.registry_);
-  engine_stats_ = std::move(other.engine_stats_);
-  wal_ = std::move(other.wal_);
-  repl_ = std::move(other.repl_);
-  flusher_mu_ = std::move(other.flusher_mu_);
-  flusher_ = std::move(other.flusher_);
-}
-QueryEngine& QueryEngine::operator=(QueryEngine&& other) noexcept {
-  if (this == &other) return *this;
-  AbortIfWalOpen(wal_.get());
-  AbortIfWalOpen(other.wal_.get());
-  // Join our flusher before the registry it walks is replaced — the
-  // defaulted member-order assignment would free the registry first.
-  flusher_.reset();
-  registry_ = std::move(other.registry_);
-  engine_stats_ = std::move(other.engine_stats_);
-  wal_ = std::move(other.wal_);
-  repl_ = std::move(other.repl_);
-  flusher_mu_ = std::move(other.flusher_mu_);
-  flusher_ = std::move(other.flusher_);
-  return *this;
-}
 
 Status QueryEngine::CreateStream(const std::string& name,
                                  const StreamConfig& config) {
@@ -312,7 +272,7 @@ Status QueryEngine::CreateStream(const std::string& name,
         "this node is a read replica; CREATE must go to the primary");
   }
   if (name.empty()) return Status::InvalidArgument("stream name is empty");
-  if (registry_->Get(name).ok()) {
+  if (registry_.Get(name).ok()) {
     return Status::InvalidArgument("stream '" + name + "' already exists");
   }
   // Admission control: refuse up front when the stream's steady-state
@@ -337,7 +297,7 @@ Status QueryEngine::CreateStream(const std::string& name,
     // Two racing CREATEs of one name both pass the pre-check above; Insert's
     // internal check-and-emplace decides the winner, and the loser's stream
     // destructs (releasing its governor charge) without ever being visible.
-    const Status inserted = registry_->Insert(name, std::move(stream));
+    const Status inserted = registry_.Insert(name, std::move(stream));
     if (inserted.ok()) EnsureFlusher(staleness_ms);
     return inserted;
   }
@@ -349,7 +309,7 @@ Status QueryEngine::CreateStream(const std::string& name,
       const int64_t lsn,
       wal_->log->Append(walrec::EncodeCreate(name, config)));
   stream.set_wal_lsn(lsn);
-  const Status inserted = registry_->Insert(name, std::move(stream));
+  const Status inserted = registry_.Insert(name, std::move(stream));
   if (inserted.ok()) {
     EnsureFlusher(staleness_ms);
     STREAMHIST_RETURN_NOT_OK(RunReplicationBarrier(lsn));
@@ -361,7 +321,7 @@ Status QueryEngine::CreateStreamUnlogged(const std::string& name,
                                          const StreamConfig& config,
                                          int64_t wal_lsn) {
   if (name.empty()) return Status::InvalidArgument("stream name is empty");
-  if (registry_->Get(name).ok()) {
+  if (registry_.Get(name).ok()) {
     return Status::InvalidArgument("stream '" + name + "' already exists");
   }
   // Same admission probe as the logged path: a budget shrunk since the
@@ -379,7 +339,7 @@ Status QueryEngine::CreateStreamUnlogged(const std::string& name,
                               ManagedStream::Create(config));
   const int64_t staleness_ms = stream.publish_staleness_ms();
   stream.set_wal_lsn(wal_lsn);
-  const Status inserted = registry_->Insert(name, std::move(stream));
+  const Status inserted = registry_.Insert(name, std::move(stream));
   if (inserted.ok()) EnsureFlusher(staleness_ms);
   return inserted;
 }
@@ -389,17 +349,17 @@ Status QueryEngine::DropStream(const std::string& name) {
     return Status::ReadOnly(
         "this node is a read replica; DROP must go to the primary");
   }
-  if (wal_ == nullptr) return registry_->Erase(name);
+  if (wal_ == nullptr) return registry_.Erase(name);
   const std::shared_lock<std::shared_mutex> barrier(wal_->registry_mu);
   // Pre-check so dropping a missing stream is not logged. A drop that races
   // in between merely leaves a redundant DROP record (replay no-ops on an
   // absent stream); the reverse — erasing without having logged — is what
   // the order here rules out.
-  const Result<StreamHandle> existing = registry_->Get(name);
+  const Result<StreamHandle> existing = registry_.Get(name);
   if (!existing.ok()) return existing.status();
   STREAMHIST_ASSIGN_OR_RETURN(const int64_t lsn,
                               wal_->log->Append(walrec::EncodeDrop(name)));
-  const Status erased = registry_->Erase(name);
+  const Status erased = registry_.Erase(name);
   if (erased.ok()) STREAMHIST_RETURN_NOT_OK(RunReplicationBarrier(lsn));
   return erased;
 }
@@ -472,7 +432,7 @@ Status QueryEngine::AppendBatches(std::span<const StreamBatch> batches) {
 }
 
 void QueryEngine::RefreshAll() {
-  const std::vector<StreamHandle> targets = registry_->Handles();
+  const std::vector<StreamHandle> targets = registry_.Handles();
   ParallelFor(0, static_cast<int64_t>(targets.size()), /*grain=*/1,
               [&](int64_t begin, int64_t end) {
                 for (int64_t i = begin; i < end; ++i) {
@@ -485,11 +445,11 @@ void QueryEngine::RefreshAll() {
 }
 
 Result<StreamHandle> QueryEngine::Stream(const std::string& name) const {
-  return registry_->Get(name);
+  return registry_.Get(name);
 }
 
 std::vector<std::string> QueryEngine::ListStreams() const {
-  return registry_->List();
+  return registry_.List();
 }
 
 std::string QueryEngine::CheckpointReport::ToString() const {
@@ -536,15 +496,15 @@ Status QueryEngine::BuildCheckpointImage(std::string* image,
   if (wal_ != nullptr) {
     const std::unique_lock<std::shared_mutex> barrier(wal_->registry_mu);
     floor = wal_->log->next_lsn() - 1;
-    handles = registry_->Handles();
+    handles = registry_.Handles();
   } else {
-    handles = registry_->Handles();
+    handles = registry_.Handles();
   }
   if (wal_floor != nullptr) *wal_floor = floor;
   ByteWriter header;
   header.PutU64(handles.size());
   header.PutU64(static_cast<uint64_t>(floor));
-  std::string file = WrapFrame(kCheckpointMagic, kCheckpointVersionWal,
+  std::string file = WrapFrame(kCheckpointMagic, kCheckpointVersion,
                                header.bytes());
   for (const StreamHandle& handle : handles) {
     // The writer mutex keeps a concurrent APPEND/BUILD from mutating the
@@ -595,7 +555,7 @@ Result<QueryEngine::CheckpointReport> QueryEngine::LoadCheckpoint(
     Result<CheckpointReport> loaded = LoadCheckpointFrom(path, nullptr);
     if (!loaded.ok()) return loaded.status();
     report = std::move(*loaded);
-    for (const StreamHandle& handle : registry_->Handles()) {
+    for (const StreamHandle& handle : registry_.Handles()) {
       const auto lock = handle.LockWriter();
       handle.stream().set_wal_lsn(0);
     }
@@ -623,17 +583,14 @@ Result<QueryEngine::CheckpointReport> QueryEngine::LoadCheckpointFromBytes(
   ByteReader reader(file);
   STREAMHIST_ASSIGN_OR_RETURN(
       FrameView header, ReadFrame(reader, kCheckpointMagic, "checkpoint"));
-  if (header.version != kCheckpointVersion &&
-      header.version != kCheckpointVersionWal) {
+  if (header.version != kCheckpointVersion) {
     return Status::InvalidArgument("unsupported checkpoint version");
   }
   ByteReader header_reader(header.payload);
   uint64_t declared = 0;
   uint64_t global_lsn = 0;
   if (!header_reader.ReadU64(&declared) ||
-      (header.version >= kCheckpointVersionWal &&
-       !header_reader.ReadU64(&global_lsn)) ||
-      !header_reader.AtEnd()) {
+      !header_reader.ReadU64(&global_lsn) || !header_reader.AtEnd()) {
     return Status::InvalidArgument("malformed checkpoint header payload");
   }
   if (header_lsn != nullptr) *header_lsn = static_cast<int64_t>(global_lsn);
@@ -703,10 +660,10 @@ Result<QueryEngine::CheckpointReport> QueryEngine::LoadCheckpointFromBytes(
     drop("(container)",
          Status::InvalidArgument("trailing bytes after final section"));
   }
-  registry_->ReplaceAll(std::move(restored));
+  registry_.ReplaceAll(std::move(restored));
   // Restored streams re-resolved their staleness bounds through Create();
   // re-arm the flusher for any that came back with a coalescing bound.
-  for (const StreamHandle& handle : registry_->Handles()) {
+  for (const StreamHandle& handle : registry_.Handles()) {
     EnsureFlusher(handle.stream().publish_staleness_ms());
   }
   return report;
@@ -733,7 +690,7 @@ Status QueryEngine::ApplyWalRecord(
       // A stream that already exists — from the checkpoint or an earlier
       // replayed CREATE — means this record is a dup-create loser or
       // already reflected; either way it is settled.
-      if (registry_->Get(record->name).ok()) {
+      if (registry_.Get(record->name).ok()) {
         ++counters->skipped;
         break;
       }
@@ -751,7 +708,7 @@ Status QueryEngine::ApplyWalRecord(
       break;
     }
     case walrec::RecordType::kAppend: {
-      Result<StreamHandle> handle = registry_->Get(record->name);
+      Result<StreamHandle> handle = registry_.Get(record->name);
       if (!handle.ok()) {
         // The stream is dropped later in the log (or its CREATE was
         // itself dropped); this append has no surviving target.
@@ -770,7 +727,7 @@ Status QueryEngine::ApplyWalRecord(
       break;
     }
     case walrec::RecordType::kDrop: {
-      Result<StreamHandle> handle = registry_->Get(record->name);
+      Result<StreamHandle> handle = registry_.Get(record->name);
       if (!handle.ok()) {
         ++counters->skipped;
         break;
@@ -786,7 +743,7 @@ Status QueryEngine::ApplyWalRecord(
         ++counters->skipped;
         break;
       }
-      (void)registry_->Erase(record->name);
+      (void)registry_.Erase(record->name);
       ++counters->applied;
       break;
     }
@@ -835,10 +792,9 @@ Result<QueryEngine::WalRecoveryReport> QueryEngine::OpenWal(
   // superseded by LOAD's re-anchor), and the per-stream tails cannot veto a
   // record for a stream that does not exist. Segment granularity means
   // truncation alone never guarantees the active segment is floor-free.
-  // Above the floor, per-stream LSN tails (SHMS v5) filter out what the
-  // checkpoint already reflects; v1-v4 snapshots restored with tail 0
-  // simply replay every retained record — idempotence via the filter, not
-  // via the records themselves. Failures count as dropped, never abort
+  // Above the floor, per-stream LSN tails (in each SHMS snapshot) filter
+  // out what the checkpoint already reflects — idempotence via the filter,
+  // not via the records themselves. Failures count as dropped, never abort
   // recovery: a half-usable log still beats an empty engine.
   std::map<std::string, StreamHandle> appended;
   WalApplyCounters counters;
@@ -867,8 +823,8 @@ Result<QueryEngine::WalRecoveryReport> QueryEngine::OpenWal(
   state->recovery = recovery;
   wal_ = std::move(state);
   if (wal_->checkpoint_interval_ms > 0) {
-    // The thread captures the WalState pointer directly (stable under the
-    // documented no-move-while-open rule) so shutdown via ~WalState is safe.
+    // The thread captures the WalState pointer directly (the engine is not
+    // movable) so shutdown via ~WalState is safe.
     wal_->checkpointer = std::thread([this, st = wal_.get()] {
       std::unique_lock<std::mutex> lk(st->mu);
       while (!st->stop) {
@@ -928,7 +884,7 @@ Status QueryEngine::WalCheckpointNow(std::string* summary) {
   wal_->checkpoints.fetch_add(1, std::memory_order_relaxed);
   if (summary != nullptr) {
     std::ostringstream os;
-    os << "checkpointed " << registry_->size() << " stream(s) to "
+    os << "checkpointed " << registry_.size() << " stream(s) to "
        << wal_->CheckpointPath() << "; wal truncated below lsn "
        << (floor + 1);
     *summary = os.str();
@@ -1098,7 +1054,7 @@ Result<std::string> QueryEngine::Execute(const std::string& statement) {
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - start)
             .count();
-    (touched ? touched.stats() : *engine_stats_)
+    (touched ? touched.stats() : engine_stats_)
         .Record(verb_id, result.ok(), nanos);
   }
   return result;
@@ -1125,7 +1081,7 @@ Result<std::string> QueryEngine::Execute(const std::string& statement,
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - start)
             .count();
-    (touched ? touched.stats() : *engine_stats_)
+    (touched ? touched.stats() : engine_stats_)
         .Record(verb_id, result.ok(), nanos);
   }
   return result;
@@ -1144,7 +1100,7 @@ Result<std::string> QueryEngine::ExecuteBatchAppend(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - start)
             .count();
-    (handle.ok() ? handle->stats() : *engine_stats_)
+    (handle.ok() ? handle->stats() : engine_stats_)
         .Record(QueryVerb::kAppend, ok, nanos);
   };
   if (!handle.ok()) {
@@ -1190,7 +1146,7 @@ Result<std::string> QueryEngine::ExecuteParsed(
     std::ostringstream os;
     os << "budget=" << governor::FormatBytes(governor::Budget())
        << "; used=" << governor::Used() << "; peak=" << governor::Peak();
-    for (const StreamHandle& handle : registry_->Handles()) {
+    for (const StreamHandle& handle : registry_.Handles()) {
       const auto lock = handle.LockWriter();
       os << "; " << handle.name() << "=" << handle.stream().MemoryBytes();
     }
@@ -1200,7 +1156,7 @@ Result<std::string> QueryEngine::ExecuteParsed(
   if (verb == "STATS" && tokens.size() == 1) {
     std::ostringstream os;
     os << "engine:";
-    const std::string engine_lines = engine_stats_->Render();
+    const std::string engine_lines = engine_stats_.Render();
     if (!engine_lines.empty()) os << '\n' << engine_lines;
     if (wal_ != nullptr) {
       os << "\nwal: durable lsn=" << wal_->log->durable_lsn()
@@ -1219,7 +1175,7 @@ Result<std::string> QueryEngine::ExecuteParsed(
          << "; reconnects=" << rs.reconnects << "; batches=" << rs.batches
          << "; records=" << rs.records << "; bootstraps=" << rs.bootstraps;
     }
-    for (const StreamHandle& handle : registry_->Handles()) {
+    for (const StreamHandle& handle : registry_.Handles()) {
       os << "\nstream " << handle.name() << ':';
       const std::string lines = handle.stats().Render();
       if (!lines.empty()) os << '\n' << lines;
@@ -1258,7 +1214,7 @@ Result<std::string> QueryEngine::ExecuteParsed(
   if (verb == "FLUSH") {
     // Publish any coalesced appends now (DESIGN.md §13). Not a QueryVerb
     // enumerator for the same reason WAL is not: the enum's cardinality is
-    // baked into the SHMS v4+ stats layout.
+    // baked into the SHMS stats layout.
     if (tokens.size() > 2) {
       return Status::InvalidArgument("FLUSH [<stream>]");
     }
@@ -1268,7 +1224,7 @@ Result<std::string> QueryEngine::ExecuteParsed(
       const auto lock = handle.LockWriter();
       if (handle.stream().FlushIfDirty()) ++flushed;
     } else {
-      for (const StreamHandle& handle : registry_->Handles()) {
+      for (const StreamHandle& handle : registry_.Handles()) {
         const auto lock = handle.LockWriter();
         if (handle.stream().FlushIfDirty()) ++flushed;
       }
@@ -1326,7 +1282,7 @@ Result<std::string> QueryEngine::ExecuteParsed(
     const Status status = SaveCheckpoint(tokens[1], &save_report);
     if (!status.ok()) return status;
     std::ostringstream os;
-    os << "checkpointed " << registry_->size() << " stream(s) to "
+    os << "checkpointed " << registry_.size() << " stream(s) to "
        << tokens[1];
     if (save_report.attempts > 1) {
       os << " (after " << save_report.attempts << " attempts)";

@@ -94,9 +94,9 @@ struct StreamBatch {
 ///                                 §14); refused on a non-replica
 ///
 /// (WAL / WAL CHECKPOINT / FLUSH / PROMOTE are deliberately *not* QueryVerb
-/// enumerators: the enum's cardinality is baked into the SHMS v4+
-/// stats-block layout, and growing it would break loading v1-v5
-/// checkpoints. They execute without per-verb stats.)
+/// enumerators: the enum's cardinality is baked into the SHMS stats-block
+/// layout, so growing it changes the checkpoint format. They execute
+/// without per-verb stats.)
 ///
 /// Concurrency model (DESIGN.md §10): Execute is safe to call from any
 /// number of threads against one engine. Estimation verbs answer lock-free
@@ -114,13 +114,10 @@ class QueryEngine {
   QueryEngine();
   ~QueryEngine();
 
-  // Streams hold large state; the engine is intentionally move-only.
-  // An engine with an open WAL must not be moved: the background
-  // checkpointer captures `this` (OpenWal pins the object).
+  // Neither copyable nor movable: the WAL checkpointer and the flusher
+  // threads hold `this` and the registry's address.
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
-  QueryEngine(QueryEngine&&) noexcept;
-  QueryEngine& operator=(QueryEngine&&) noexcept;
 
   /// Registers a new stream under `name`; fails on duplicates or bad config.
   Status CreateStream(const std::string& name, const StreamConfig& config);
@@ -179,7 +176,7 @@ class QueryEngine {
   /// Counters for engine-scoped verbs (CREATE/DROP/LIST/MEMORY/SAVE/LOAD,
   /// plus statements whose stream could not be resolved). Process-lifetime;
   /// not checkpointed.
-  const QueryStats& engine_stats() const { return *engine_stats_; }
+  const QueryStats& engine_stats() const { return engine_stats_; }
 
   /// What LoadCheckpoint managed to recover: sections it restored and
   /// sections it had to discard (with the reason each was unusable).
@@ -259,7 +256,7 @@ class QueryEngine {
   /// Opens (or creates) the write-ahead log in `dir` and recovers: repairs
   /// the log (torn tails truncated, never fatal), loads `dir`/checkpoint.shcp
   /// when present, replays the retained records above each stream's applied
-  /// LSN (SHMS v5 tail; v1-v4 restore with LSN 0 and replay everything),
+  /// LSN (carried in each SHMS snapshot),
   /// then starts logging CREATE/APPEND/DROP before each ack and — when
   /// configured — a background checkpoint thread that snapshots and
   /// truncates sealed segments. Fails only on real I/O errors, a governor
@@ -390,7 +387,7 @@ class QueryEngine {
                                     StreamHandle* touched);
 
   /// LoadCheckpoint's parsing core; `header_lsn`, when non-null, receives
-  /// the SHCP v2 header's global WAL LSN (0 for v1 files).
+  /// the SHCP header's global WAL LSN.
   Result<CheckpointReport> LoadCheckpointFrom(const std::string& path,
                                               int64_t* header_lsn);
 
@@ -456,17 +453,15 @@ class QueryEngine {
   /// strand acked values reader-invisible.
   void EnsureFlusher(int64_t bound_ms);
 
-  // unique_ptr: the registry's mutexes (and the stats' atomics) are not
-  // movable, the engine is.
-  std::unique_ptr<StreamRegistry> registry_ =
-      std::make_unique<StreamRegistry>();
-  std::unique_ptr<QueryStats> engine_stats_ = std::make_unique<QueryStats>();
+  StreamRegistry registry_;
+  QueryStats engine_stats_;
   std::unique_ptr<WalState> wal_;
   // Always allocated (the constructor does): replication flags are read on
-  // hot paths without a null check. unique_ptr keeps the engine movable.
+  // hot paths without a null check. Behind a pointer because ReplState is
+  // defined in query_engine.cc.
   std::unique_ptr<ReplState> repl_;
-  // Guards flusher_ creation; unique_ptr keeps the engine movable.
-  std::unique_ptr<std::mutex> flusher_mu_ = std::make_unique<std::mutex>();
+  // Guards flusher_ creation.
+  std::mutex flusher_mu_;
   // Declared last: its joining destructor runs before the registry (which
   // the flusher thread walks) is torn down.
   std::unique_ptr<FlusherState> flusher_;

@@ -13,7 +13,7 @@
 namespace streamhist {
 
 /// Every verb of the engine's query language, stream-scoped and
-/// engine-scoped alike. The enumerator order is the SHMS v4 serialization
+/// engine-scoped alike. The enumerator order is the SHMS stats-block
 /// order — append new verbs at the end (before kNumVerbs) and bump the
 /// snapshot version, never reorder.
 enum class QueryVerb : uint8_t {
@@ -63,7 +63,7 @@ struct VerbCounters {
 /// Per-verb execution counters and latency histograms, safe to record into
 /// from any number of threads concurrently (relaxed atomics: counters are
 /// diagnostics, not synchronization). One instance lives in every
-/// ManagedStream (stream-scoped verbs, carried through SHMS v4 checkpoints)
+/// ManagedStream (stream-scoped verbs, carried through SHMS checkpoints)
 /// and one in the QueryEngine (engine-scoped verbs, process-lifetime only).
 ///
 /// Latencies land in logarithmic buckets: bucket 0 is [0, 512ns) and bucket
@@ -108,7 +108,7 @@ class QueryStats {
   std::string Render() const;
 
   /// Fixed-size byte image (SerializedBytes() long) of every counter — the
-  /// SHMS v4 stats block.
+  /// SHMS stats block.
   std::string Serialize() const;
 
   /// Inverse of Serialize into *this (expects a fresh instance). Rejects
@@ -154,7 +154,7 @@ struct PublishCounters {
 /// oldest unpublished append when its publish finally ran), and a latency
 /// histogram of the publish operation itself (same log2 nanosecond buckets
 /// as QueryStats). Relaxed atomics, same recording discipline as QueryStats;
-/// carried through SHMS v6 checkpoints as a tail block.
+/// carried through SHMS checkpoints as a tail block.
 class PublishStats {
  public:
   PublishStats() = default;
@@ -174,7 +174,7 @@ class PublishStats {
   /// line; empty string when nothing was ever published.
   std::string Render() const;
 
-  /// Fixed-size byte image (SerializedBytes() long) — the SHMS v6 tail.
+  /// Fixed-size byte image (SerializedBytes() long) — the SHMS tail block.
   std::string Serialize() const;
 
   /// Inverse of Serialize into *this (expects a fresh instance). Rejects

@@ -21,7 +21,6 @@ std::string EncodeCreate(std::string_view name, const StreamConfig& config) {
   out.PutI64(config.window_size);
   out.PutI64(config.num_buckets);
   out.PutF64(config.epsilon);
-  out.PutBool(config.keep_lifetime_histogram);
   out.PutBool(config.keep_quantiles);
   out.PutF64(config.quantile_epsilon);
   out.PutBool(config.keep_distinct);
@@ -61,7 +60,6 @@ Result<Record> Decode(std::string_view payload) {
       if (!reader.ReadI64(&record.config.window_size) ||
           !reader.ReadI64(&record.config.num_buckets) ||
           !reader.ReadF64(&record.config.epsilon) ||
-          !reader.ReadBool(&record.config.keep_lifetime_histogram) ||
           !reader.ReadBool(&record.config.keep_quantiles) ||
           !reader.ReadF64(&record.config.quantile_epsilon) ||
           !reader.ReadBool(&record.config.keep_distinct) ||

@@ -21,8 +21,10 @@ namespace walrec {
 ///
 ///   payload: type u32 | name (length-prefixed) | type-specific bytes
 ///     kCreate: the full StreamConfig (window i64, buckets i64, eps f64,
-///              keep_lifetime b, keep_quantiles b, quantile_eps f64,
-///              keep_distinct b, build_approx b, build_delta f64)
+///              keep_quantiles b, quantile_eps f64, keep_distinct b,
+///              build_approx b, build_delta f64). Records carry no
+///              version: a record in any other layout must fail Decode's
+///              truncation or trailing-bytes checks.
 ///     kAppend: count u64 | count x f64 raw values (non-finite values are
 ///              logged as-is and re-quarantined deterministically at replay)
 ///     kDrop:   nothing

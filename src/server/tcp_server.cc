@@ -131,21 +131,23 @@ struct TcpServer::Impl {
       }
       if (stats.active.load(std::memory_order_relaxed) >=
           options.max_connections) {
+        // Count before the reply: a client that sees the refusal (or EOF)
+        // must also see it counted.
+        stats.refused_over_cap.fetch_add(1, std::memory_order_relaxed);
         RefuseAndClose(std::move(fd),
                        ErrResponse("OVERLOADED",
                                    "connection limit " +
                                        std::to_string(options.max_connections) +
                                        " reached; retry later"));
-        stats.refused_over_cap.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
       if (!governor::TryCharge(conn_charge)) {
+        stats.refused_over_budget.fetch_add(1, std::memory_order_relaxed);
         RefuseAndClose(
             std::move(fd),
             ErrResponse("RESOURCE_EXHAUSTED",
                         "memory budget refused connection buffers (" +
                             std::to_string(conn_charge) + " bytes)"));
-        stats.refused_over_budget.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
       const int one = 1;

@@ -14,6 +14,7 @@
 #include "src/data/generators.h"
 #include "src/engine/query_engine.h"
 #include "src/util/fileio.h"
+#include "src/util/framing.h"
 
 namespace streamhist {
 namespace {
@@ -41,15 +42,14 @@ StreamConfig SmallConfig() {
   return config;
 }
 
-QueryEngine PopulatedEngine() {
-  QueryEngine engine;
+// Fills a caller-owned engine: QueryEngine is neither copyable nor movable.
+void Populate(QueryEngine& engine) {
   EXPECT_TRUE(engine.CreateStream("eth0", SmallConfig()).ok());
   EXPECT_TRUE(engine.CreateStream("eth1", SmallConfig()).ok());
   const std::vector<double> a = GenerateDataset(DatasetKind::kUtilization, 500, 3);
   const std::vector<double> b = GenerateDataset(DatasetKind::kUtilization, 300, 9);
   EXPECT_TRUE(engine.AppendBatch("eth0", a).ok());
   EXPECT_TRUE(engine.AppendBatch("eth1", b).ok());
-  return engine;
 }
 
 std::vector<std::string> ProbeStatements(const std::string& stream) {
@@ -65,7 +65,8 @@ std::vector<std::string> ProbeStatements(const std::string& stream) {
 
 TEST(CheckpointTest, SaveLoadRoundTripAnswersIdentically) {
   TempPath path("roundtrip.ckpt");
-  QueryEngine engine = PopulatedEngine();
+  QueryEngine engine;
+  Populate(engine);
   ASSERT_TRUE(engine.SaveCheckpoint(path.str()).ok());
 
   QueryEngine reloaded;
@@ -88,7 +89,8 @@ TEST(CheckpointTest, SaveLoadRoundTripAnswersIdentically) {
 
 TEST(CheckpointTest, HappyPathSaveTakesOneAttempt) {
   TempPath path("one_attempt.ckpt");
-  QueryEngine engine = PopulatedEngine();
+  QueryEngine engine;
+  Populate(engine);
   QueryEngine::SaveReport report;
   ASSERT_TRUE(engine.SaveCheckpoint(path.str(), &report).ok());
   EXPECT_EQ(report.attempts, 1);
@@ -100,7 +102,8 @@ TEST(CheckpointTest, HappyPathSaveTakesOneAttempt) {
 
 TEST(CheckpointTest, RestoredEngineIngestsIdentically) {
   TempPath path("ingest.ckpt");
-  QueryEngine engine = PopulatedEngine();
+  QueryEngine engine;
+  Populate(engine);
   ASSERT_TRUE(engine.SaveCheckpoint(path.str()).ok());
   QueryEngine reloaded;
   ASSERT_TRUE(reloaded.LoadCheckpoint(path.str()).ok());
@@ -132,7 +135,8 @@ TEST(CheckpointTest, EmptyEngineRoundTrips) {
 }
 
 TEST(CheckpointTest, MissingFileFailsAndLeavesEngineUnchanged) {
-  QueryEngine engine = PopulatedEngine();
+  QueryEngine engine;
+  Populate(engine);
   const auto report = engine.LoadCheckpoint("/nonexistent/dir/x.ckpt");
   EXPECT_FALSE(report.ok());
   EXPECT_EQ(engine.ListStreams(),
@@ -141,7 +145,8 @@ TEST(CheckpointTest, MissingFileFailsAndLeavesEngineUnchanged) {
 
 TEST(CheckpointTest, CorruptHeaderFailsAndLeavesEngineUnchanged) {
   TempPath path("header.ckpt");
-  QueryEngine source = PopulatedEngine();
+  QueryEngine source;
+  Populate(source);
   ASSERT_TRUE(source.SaveCheckpoint(path.str()).ok());
 
   auto bytes = ReadFileToString(path.str());
@@ -158,7 +163,8 @@ TEST(CheckpointTest, CorruptHeaderFailsAndLeavesEngineUnchanged) {
 
 TEST(CheckpointTest, CorruptSectionIsDroppedOthersStillLoad) {
   TempPath path("partial.ckpt");
-  QueryEngine source = PopulatedEngine();
+  QueryEngine source;
+  Populate(source);
   ASSERT_TRUE(source.SaveCheckpoint(path.str()).ok());
 
   auto bytes = ReadFileToString(path.str());
@@ -183,7 +189,8 @@ TEST(CheckpointTest, CorruptSectionIsDroppedOthersStillLoad) {
 
 TEST(CheckpointTest, TruncatedTailDropsOnlyLostSections) {
   TempPath path("tail.ckpt");
-  QueryEngine source = PopulatedEngine();
+  QueryEngine source;
+  Populate(source);
   ASSERT_TRUE(source.SaveCheckpoint(path.str()).ok());
 
   auto bytes = ReadFileToString(path.str());
@@ -200,9 +207,45 @@ TEST(CheckpointTest, TruncatedTailDropsOnlyLostSections) {
   EXPECT_EQ(report->dropped.size(), 1u);
 }
 
+TEST(CheckpointTest, OlderContainerVersionIsRejectedAsUnsupported) {
+  TempPath path("v1_header.ckpt");
+  QueryEngine source;
+  Populate(source);
+  ASSERT_TRUE(source.SaveCheckpoint(path.str()).ok());
+  auto bytes = ReadFileToString(path.str());
+  ASSERT_TRUE(bytes.ok());
+
+  // Rewrite the header the way v1 wrote it: the stream count alone, with no
+  // WAL LSN floor. The stream sections after it stay as saved.
+  constexpr uint32_t kCheckpointMagic = 0x53484350;  // "SHCP"
+  ByteReader reader(bytes.value());
+  auto header = ReadFrame(reader, kCheckpointMagic, "checkpoint");
+  ASSERT_TRUE(header.ok()) << header.status();
+  EXPECT_EQ(header->version, 2u);
+  ByteReader header_reader(header->payload);
+  uint64_t declared = 0;
+  ASSERT_TRUE(header_reader.ReadU64(&declared));
+  ByteWriter v1_header;
+  v1_header.PutU64(declared);
+  const std::string v1_file =
+      WrapFrame(kCheckpointMagic, 1, v1_header.bytes()) +
+      bytes.value().substr(reader.position());
+  ASSERT_TRUE(AtomicWriteFile(path.str(), v1_file).ok());
+
+  QueryEngine engine;
+  const auto report = engine.LoadCheckpoint(path.str());
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(report.status().message().find("unsupported checkpoint version"),
+            std::string::npos)
+      << report.status();
+  EXPECT_TRUE(engine.ListStreams().empty());
+}
+
 TEST(CheckpointTest, SaveIsAtomicOldCheckpointSurvivesOverwrite) {
   TempPath path("atomic.ckpt");
-  QueryEngine engine = PopulatedEngine();
+  QueryEngine engine;
+  Populate(engine);
   ASSERT_TRUE(engine.SaveCheckpoint(path.str()).ok());
   auto first = ReadFileToString(path.str());
   ASSERT_TRUE(first.ok());

@@ -33,8 +33,6 @@ TEST(ManagedStreamTest, MaintainsAllSynopses) {
   for (int i = 0; i < 500; ++i) stream.Append(rng.UniformInt(0, 100));
   EXPECT_EQ(stream.total_points(), 500);
   EXPECT_EQ(stream.window_histogram().window().size(), 64);
-  ASSERT_NE(stream.lifetime_histogram(), nullptr);
-  EXPECT_EQ(stream.lifetime_histogram()->size(), 500);
   ASSERT_NE(stream.quantiles(), nullptr);
   EXPECT_EQ(stream.quantiles()->size(), 500);
   ASSERT_NE(stream.distinct(), nullptr);
@@ -44,12 +42,10 @@ TEST(ManagedStreamTest, MaintainsAllSynopses) {
 
 TEST(ManagedStreamTest, OptionalSynopsesCanBeDisabled) {
   StreamConfig config = SmallConfig();
-  config.keep_lifetime_histogram = false;
   config.keep_quantiles = false;
   config.keep_distinct = false;
   ManagedStream stream = ManagedStream::Create(config).value();
   stream.Append(1.0);
-  EXPECT_EQ(stream.lifetime_histogram(), nullptr);
   EXPECT_EQ(stream.quantiles(), nullptr);
   EXPECT_EQ(stream.distinct(), nullptr);
 }

@@ -117,8 +117,8 @@ TEST_F(FaultInjectionTest, ReadFaultsCorruptTheBytes) {
 // LoadCheckpoint never crashes, and after a failed save the *previous*
 // checkpoint still loads with the old answers.
 
-QueryEngine PopulatedEngine(int points, uint64_t seed) {
-  QueryEngine engine;
+// Fills a caller-owned engine: QueryEngine is neither copyable nor movable.
+void Populate(QueryEngine& engine, int points, uint64_t seed) {
   StreamConfig config;
   config.window_size = 64;
   config.num_buckets = 8;
@@ -129,14 +129,14 @@ QueryEngine PopulatedEngine(int points, uint64_t seed) {
           .AppendBatch("eth0",
                        GenerateDataset(DatasetKind::kUtilization, points, seed))
           .ok());
-  return engine;
 }
 
 TEST_F(FaultInjectionTest, FailedSavePreservesOlderCheckpoint) {
   for (const char* point :
        {"fileio.short_write", "fileio.fsync", "fileio.rename"}) {
     const std::string path = TempFile(std::string("save_") + point);
-    QueryEngine engine = PopulatedEngine(500, 3);
+    QueryEngine engine;
+    Populate(engine, 500, 3);
     ASSERT_TRUE(engine.SaveCheckpoint(path).ok());
     const std::string old_sum = engine.Execute("SUM eth0 0 64").value();
 
@@ -158,7 +158,8 @@ TEST_F(FaultInjectionTest, FailedSavePreservesOlderCheckpoint) {
 
 TEST_F(FaultInjectionTest, BitflippedCheckpointLoadsCleanlyOrPartially) {
   const std::string path = TempFile("load_bitflip.ckpt");
-  QueryEngine engine = PopulatedEngine(500, 3);
+  QueryEngine engine;
+  Populate(engine, 500, 3);
   ASSERT_TRUE(engine.SaveCheckpoint(path).ok());
 
   fault::ScopedFault armed("fileio.read.bitflip");
@@ -175,7 +176,8 @@ TEST_F(FaultInjectionTest, BitflippedCheckpointLoadsCleanlyOrPartially) {
 
 TEST_F(FaultInjectionTest, TruncatedCheckpointLoadsCleanlyOrPartially) {
   const std::string path = TempFile("load_truncate.ckpt");
-  QueryEngine engine = PopulatedEngine(500, 3);
+  QueryEngine engine;
+  Populate(engine, 500, 3);
   ASSERT_TRUE(engine.SaveCheckpoint(path).ok());
 
   fault::ScopedFault armed("fileio.read.truncate");
@@ -197,7 +199,8 @@ TEST_F(FaultInjectionTest, TransientFsyncFaultSelfHealsViaRetry) {
   g_backoff_calls = 0;
   QueryEngine::SetBackoffSleeperForTest(+[](int64_t) { ++g_backoff_calls; });
   const std::string path = TempFile("transient.ckpt");
-  QueryEngine engine = PopulatedEngine(300, 5);
+  QueryEngine engine;
+  Populate(engine, 300, 5);
 
   // Two fires < three attempts: the third write goes through.
   fault::Arm("fileio.fsync.transient", 2);
@@ -221,7 +224,8 @@ TEST_F(FaultInjectionTest, PersistentFaultExhaustsRetriesAndFails) {
   g_backoff_calls = 0;
   QueryEngine::SetBackoffSleeperForTest(+[](int64_t) { ++g_backoff_calls; });
   const std::string path = TempFile("persistent.ckpt");
-  QueryEngine engine = PopulatedEngine(300, 5);
+  QueryEngine engine;
+  Populate(engine, 300, 5);
   ASSERT_TRUE(engine.SaveCheckpoint(path).ok());
   const std::string old_sum = engine.Execute("SUM eth0 0 64").value();
 
@@ -248,7 +252,8 @@ TEST_F(FaultInjectionTest, PersistentFaultExhaustsRetriesAndFails) {
 TEST_F(FaultInjectionTest, SaveVerbReportsRetriedAttempts) {
   QueryEngine::SetBackoffSleeperForTest(+[](int64_t) {});
   const std::string path = TempFile("verb_retry.ckpt");
-  QueryEngine engine = PopulatedEngine(100, 9);
+  QueryEngine engine;
+  Populate(engine, 100, 9);
   fault::Arm("fileio.fsync.transient", 1);
   const auto saved = engine.Execute("SAVE " + path);
   QueryEngine::SetBackoffSleeperForTest(nullptr);
@@ -513,7 +518,8 @@ TEST_F(FaultInjectionTest, PeerVanishingMidStatementLeaksNothing) {
 
 TEST_F(FaultInjectionTest, EveryFaultArmedTogetherStillFailsCleanly) {
   const std::string path = TempFile("all_faults.ckpt");
-  QueryEngine engine = PopulatedEngine(200, 7);
+  QueryEngine engine;
+  Populate(engine, 200, 7);
   ASSERT_TRUE(engine.SaveCheckpoint(path).ok());
 
   fault::ArmFromSpec(

@@ -22,6 +22,7 @@
 #include "src/util/deadline.h"
 #include "src/util/fault.h"
 #include "src/util/governor.h"
+#include "src/util/random.h"
 
 namespace streamhist {
 namespace {
@@ -474,6 +475,34 @@ TEST_F(GovernorTest, StreamsChargeAndReleaseTheirFootprint) {
     EXPECT_GE(governor::Used() - base, stream.MemoryBytes());
   }
   EXPECT_EQ(governor::Used(), base);  // destruction releases everything
+}
+
+TEST_F(GovernorTest, LongLivedStreamFootprintStaysFlat) {
+  // A stream's synopses are bounded by its window, not by its age: after
+  // 128 windows of 64-value batches the footprint, and so the governor
+  // charge, is within 5% of what it was after 2 windows.
+  const int64_t base = governor::Used();
+  StreamConfig config;
+  config.window_size = 1024;
+  config.num_buckets = 16;
+  ManagedStream stream = ManagedStream::Create(config).value();
+  Random rng(11);
+  double x = 0.0;
+  std::vector<double> batch(64);
+  int64_t after_two_windows = 0;
+  for (int64_t window = 1; window <= 128; ++window) {
+    for (int64_t i = 0; i < config.window_size; i += 64) {
+      for (double& v : batch) {
+        x = 0.9 * x + rng.Gaussian(0.0, 10.0);
+        v = 100.0 + x;
+      }
+      stream.CommitAppendBatch(batch);
+    }
+    if (window == 2) after_two_windows = stream.MemoryBytes();
+  }
+  ASSERT_EQ(stream.total_points(), 128 * config.window_size);
+  EXPECT_LE(stream.MemoryBytes(), after_two_windows * 105 / 100);
+  EXPECT_EQ(governor::Used() - base, stream.MemoryBytes());
 }
 
 TEST_F(GovernorTest, MoveTransfersTheCharge) {

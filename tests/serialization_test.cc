@@ -238,8 +238,6 @@ TEST(ManagedStreamSerializationTest, SnapshotRestoreAnswersIdentically) {
             stream.quantiles()->Quantile(0.5));
   EXPECT_EQ(restored->distinct()->EstimateDistinct(),
             stream.distinct()->EstimateDistinct());
-  EXPECT_EQ(restored->lifetime_histogram()->Extract().ToString(),
-            stream.lifetime_histogram()->Extract().ToString());
 }
 
 TEST(ManagedStreamSerializationTest, SnapshotCarriesBuildMode) {
@@ -285,122 +283,59 @@ TEST(ManagedStreamSerializationTest, DroppedNonfiniteSurvivesRoundTrip) {
   EXPECT_EQ(twice->dropped_nonfinite(), 3);
 }
 
-// v6 stream payload layout (bytes before the window blob):
-//   0..34   config through keep_distinct (8+8+8+1+1+8+1)
-//   35..43  v2 build-mode fields (bool + f64)
-//   44..51  dropped_nonfinite (i64)
-//   52..59  degraded_builds (i64, new in v3)
+// Stream payload layout (bytes before the window blob):
+//   0..33   config through keep_distinct (8+8+8+1+8+1)
+//   34..42  build-mode fields (bool + f64)
+//   43..50  dropped_nonfinite (i64)
+//   51..58  degraded_builds (i64)
 //   ...     synopsis blobs (window / quantiles / distinct)
-//   tail    length-prefixed query-stats block (new in v4): a u64 length
-//           followed by QueryStats::SerializedBytes() bytes
-//   tail    applied WAL LSN (i64, new in v5)
-//   tail    length-prefixed publish-stats block (new in v6)
-// Older payloads are fabricated below by erasing the fields their version
-// predates, per the EXPERIMENTS.md version policy: the previous blob
-// versions must stay readable for a release cycle.
+//   tail    length-prefixed query-stats block: a u64 length followed by
+//           QueryStats::SerializedBytes() bytes
+//   tail    applied WAL LSN (i64)
+//   tail    length-prefixed publish-stats block
+// Only this version loads (EXPERIMENTS.md version policy).
 constexpr uint32_t kStreamMagic = 0x53484D53;  // "SHMS"
+constexpr uint32_t kStreamVersion = 7;
 
-// Bytes the v4 stats tail adds to the end of the payload.
+// Bytes the stats block occupies near the end of the payload.
 constexpr size_t kStatsTailBytes = 8 + QueryStats::SerializedBytes();
-// Bytes the v5 WAL-LSN tail adds after that.
+// Bytes the WAL-LSN field adds after that.
 constexpr size_t kWalTailBytes = 8;
-// Bytes the v6 publish-stats tail adds after that.
+// Bytes the publish-stats block adds after that.
 constexpr size_t kPublishTailBytes = 8 + PublishStats::SerializedBytes();
 
-TEST(ManagedStreamSerializationTest, V1SnapshotsStillLoadWithDefaults) {
+// The payload of a freshly appended stream's snapshot.
+std::string SamplePayload() {
   StreamConfig config;
-  config.window_size = 64;
-  config.num_buckets = 8;
-  config.build_mode = WindowBuildMode::kApprox;  // must NOT survive via v1
-  config.build_delta = 0.75;
+  config.window_size = 32;
+  config.num_buckets = 4;
   ManagedStream stream = ManagedStream::Create(config).value();
-  for (double v : TestSeries(200)) stream.Append(v);
-
+  for (double v : TestSeries(40)) stream.Append(v);
   const std::string snapshot = stream.Snapshot();
   auto frame = UnwrapFrame(snapshot, kStreamMagic, "stream");
-  ASSERT_TRUE(frame.ok()) << frame.status();
-  EXPECT_EQ(frame->version, 6u);
-  std::string v1_payload(frame->payload);
-  ASSERT_GT(v1_payload.size(),
-            60u + kStatsTailBytes + kWalTailBytes + kPublishTailBytes);
-  v1_payload.erase(v1_payload.size() - kPublishTailBytes);  // publish (v6)
-  v1_payload.erase(v1_payload.size() - kWalTailBytes);  // wal lsn (v5)
-  v1_payload.erase(v1_payload.size() - kStatsTailBytes);  // stats tail (v4)
-  v1_payload.erase(52, 8);  // degraded_builds (v3)
-  v1_payload.erase(35, 9);  // build-mode fields (v2)
-  const std::string v1_snapshot = WrapFrame(kStreamMagic, 1, v1_payload);
-
-  auto restored = ManagedStream::Restore(v1_snapshot);
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  // v1 predates both: the restored stream gets the config defaults / zero.
-  EXPECT_EQ(restored->config().build_mode, WindowBuildMode::kExact);
-  EXPECT_EQ(restored->config().build_delta, 0.1);
-  EXPECT_EQ(restored->degraded_builds(), 0);
-  // Everything else restored as usual.
-  EXPECT_EQ(restored->total_points(), stream.total_points());
-  EXPECT_EQ(restored->window_histogram().RangeSum(0, 64),
-            stream.window_histogram().RangeSum(0, 64));
+  EXPECT_TRUE(frame.ok()) << frame.status();
+  EXPECT_EQ(frame->version, kStreamVersion);
+  return std::string(frame->payload);
 }
 
-TEST(ManagedStreamSerializationTest, V2SnapshotsStillLoadWithDefaults) {
-  StreamConfig config;
-  config.window_size = 64;
-  config.num_buckets = 8;
-  config.build_mode = WindowBuildMode::kApprox;  // v2 DOES carry this
-  config.build_delta = 0.75;
-  ManagedStream stream = ManagedStream::Create(config).value();
-  for (double v : TestSeries(200)) stream.Append(v);
-
-  const std::string snapshot = stream.Snapshot();
-  auto frame = UnwrapFrame(snapshot, kStreamMagic, "stream");
-  ASSERT_TRUE(frame.ok()) << frame.status();
-  ASSERT_EQ(frame->version, 6u);
-  std::string v2_payload(frame->payload);
-  ASSERT_GT(v2_payload.size(),
-            60u + kStatsTailBytes + kWalTailBytes + kPublishTailBytes);
-  v2_payload.erase(v2_payload.size() - kPublishTailBytes);  // publish (v6)
-  v2_payload.erase(v2_payload.size() - kWalTailBytes);  // wal lsn (v5)
-  v2_payload.erase(v2_payload.size() - kStatsTailBytes);  // stats tail (v4)
-  v2_payload.erase(52, 8);  // degraded_builds (v3)
-  const std::string v2_snapshot = WrapFrame(kStreamMagic, 2, v2_payload);
-
-  auto restored = ManagedStream::Restore(v2_snapshot);
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  EXPECT_EQ(restored->config().build_mode, WindowBuildMode::kApprox);
-  EXPECT_EQ(restored->config().build_delta, 0.75);
-  EXPECT_EQ(restored->degraded_builds(), 0);  // v2 predates the counter
-  EXPECT_EQ(restored->total_points(), stream.total_points());
-  EXPECT_EQ(restored->window_histogram().RangeSum(0, 64),
-            stream.window_histogram().RangeSum(0, 64));
-}
-
-TEST(ManagedStreamSerializationTest, V3SnapshotsStillLoadWithEmptyStats) {
-  StreamConfig config;
-  config.window_size = 64;
-  config.num_buckets = 8;
-  ManagedStream stream = ManagedStream::Create(config).value();
-  for (double v : TestSeries(200)) stream.Append(v);
-  stream.stats().Record(QueryVerb::kSum, /*ok=*/true, /*nanos=*/1000);
-
-  const std::string snapshot = stream.Snapshot();
-  auto frame = UnwrapFrame(snapshot, kStreamMagic, "stream");
-  ASSERT_TRUE(frame.ok()) << frame.status();
-  ASSERT_EQ(frame->version, 6u);
-  std::string v3_payload(frame->payload);
-  ASSERT_GT(v3_payload.size(),
-            kStatsTailBytes + kWalTailBytes + kPublishTailBytes);
-  v3_payload.erase(v3_payload.size() - kPublishTailBytes);  // publish (v6)
-  v3_payload.erase(v3_payload.size() - kWalTailBytes);  // wal lsn (v5)
-  v3_payload.erase(v3_payload.size() - kStatsTailBytes);  // stats tail (v4)
-  const std::string v3_snapshot = WrapFrame(kStreamMagic, 3, v3_payload);
-
-  auto restored = ManagedStream::Restore(v3_snapshot);
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  // v3 predates per-verb stats: the restored stream starts with none.
-  EXPECT_FALSE(restored->stats().Any());
-  EXPECT_EQ(restored->total_points(), stream.total_points());
-  EXPECT_EQ(restored->window_histogram().RangeSum(0, 64),
-            stream.window_histogram().RangeSum(0, 64));
+TEST(ManagedStreamSerializationTest, OlderVersionsAreRejectedAsUnsupported) {
+  const std::string payload = SamplePayload();
+  ASSERT_TRUE(
+      ManagedStream::Restore(WrapFrame(kStreamMagic, kStreamVersion, payload))
+          .ok());
+  // A well-formed v6 frame: v6 carried a keep_lifetime flag after eps (here
+  // false, so no lifetime blob follows) and is otherwise the current layout.
+  std::string v6_payload = payload;
+  v6_payload.insert(24, 1, '\0');
+  for (uint32_t version = 1; version < kStreamVersion; ++version) {
+    const auto restored =
+        ManagedStream::Restore(WrapFrame(kStreamMagic, version, v6_payload));
+    ASSERT_FALSE(restored.ok()) << "version " << version;
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(restored.status().message().find("unsupported"),
+              std::string::npos)
+        << restored.status();
+  }
 }
 
 TEST(ManagedStreamSerializationTest, StatsSurviveSnapshotRoundTrip) {
@@ -425,56 +360,18 @@ TEST(ManagedStreamSerializationTest, StatsSurviveSnapshotRoundTrip) {
 }
 
 TEST(ManagedStreamSerializationTest, NegativeStatsTailIsRejected) {
-  StreamConfig config;
-  config.window_size = 32;
-  config.num_buckets = 4;
-  ManagedStream stream = ManagedStream::Create(config).value();
-  for (double v : TestSeries(40)) stream.Append(v);
-  stream.stats().Record(QueryVerb::kSum, /*ok=*/true, /*nanos=*/1000);
-
-  const std::string snapshot = stream.Snapshot();
-  auto frame = UnwrapFrame(snapshot, kStreamMagic, "stream");
-  ASSERT_TRUE(frame.ok()) << frame.status();
-  std::string payload(frame->payload);
+  std::string payload = SamplePayload();
   ASSERT_GT(payload.size(),
             kStatsTailBytes + kWalTailBytes + kPublishTailBytes);
-  payload.erase(payload.size() - kPublishTailBytes);  // publish (v6)
-  payload.erase(payload.size() - kWalTailBytes);  // wal lsn (v5)
   // Force the first counter in the stats block (SUM's count, right after the
   // u64 length and the two u32 layout constants) to -1.
-  const size_t counter_at = payload.size() - kStatsTailBytes + 8 + 4 + 4;
+  const size_t counter_at = payload.size() - kPublishTailBytes -
+                            kWalTailBytes - kStatsTailBytes + 8 + 4 + 4;
   for (size_t i = 0; i < 8; ++i) payload[counter_at + i] = '\xff';
   const auto restored =
-      ManagedStream::Restore(WrapFrame(kStreamMagic, 4, payload));
+      ManagedStream::Restore(WrapFrame(kStreamMagic, kStreamVersion, payload));
   EXPECT_FALSE(restored.ok());
   EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(ManagedStreamSerializationTest, V4SnapshotsStillLoadWithZeroLsn) {
-  StreamConfig config;
-  config.window_size = 64;
-  config.num_buckets = 8;
-  ManagedStream stream = ManagedStream::Create(config).value();
-  for (double v : TestSeries(200)) stream.Append(v);
-  stream.set_wal_lsn(99);  // must NOT survive via v4
-
-  const std::string snapshot = stream.Snapshot();
-  auto frame = UnwrapFrame(snapshot, kStreamMagic, "stream");
-  ASSERT_TRUE(frame.ok()) << frame.status();
-  ASSERT_EQ(frame->version, 6u);
-  std::string v4_payload(frame->payload);
-  ASSERT_GT(v4_payload.size(), kWalTailBytes + kPublishTailBytes);
-  v4_payload.erase(v4_payload.size() - kPublishTailBytes);  // publish (v6)
-  v4_payload.erase(v4_payload.size() - kWalTailBytes);  // wal lsn (v5)
-  const std::string v4_snapshot = WrapFrame(kStreamMagic, 4, v4_payload);
-
-  auto restored = ManagedStream::Restore(v4_snapshot);
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  // v4 predates the LSN tail: a restored stream replays from scratch.
-  EXPECT_EQ(restored->wal_lsn(), 0);
-  EXPECT_EQ(restored->total_points(), stream.total_points());
-  EXPECT_EQ(restored->window_histogram().RangeSum(0, 64),
-            stream.window_histogram().RangeSum(0, 64));
 }
 
 TEST(ManagedStreamSerializationTest, WalLsnTailRoundTripsAndFloors) {
@@ -500,48 +397,16 @@ TEST(ManagedStreamSerializationTest, WalLsnTailRoundTripsAndFloors) {
 }
 
 TEST(ManagedStreamSerializationTest, NegativeWalLsnTailIsRejected) {
-  StreamConfig config;
-  config.window_size = 32;
-  config.num_buckets = 4;
-  ManagedStream stream = ManagedStream::Create(config).value();
-  for (double v : TestSeries(50)) stream.Append(v);
-
-  const std::string snapshot = stream.Snapshot();
-  auto frame = UnwrapFrame(snapshot, kStreamMagic, "stream");
-  ASSERT_TRUE(frame.ok()) << frame.status();
-  std::string payload(frame->payload);
-  for (size_t i = payload.size() - kWalTailBytes; i < payload.size(); ++i) {
-    payload[i] = '\xff';  // lsn = -1
+  std::string payload = SamplePayload();
+  ASSERT_GT(payload.size(), kWalTailBytes + kPublishTailBytes);
+  const size_t lsn_at = payload.size() - kPublishTailBytes - kWalTailBytes;
+  for (size_t i = 0; i < kWalTailBytes; ++i) {
+    payload[lsn_at + i] = '\xff';  // lsn = -1
   }
   const auto restored =
-      ManagedStream::Restore(WrapFrame(kStreamMagic, 5, payload));
+      ManagedStream::Restore(WrapFrame(kStreamMagic, kStreamVersion, payload));
   EXPECT_FALSE(restored.ok());
   EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(ManagedStreamSerializationTest, V5SnapshotsStillLoadWithZeroPublishStats) {
-  StreamConfig config;
-  config.window_size = 64;
-  config.num_buckets = 8;
-  ManagedStream stream = ManagedStream::Create(config).value();
-  for (double v : TestSeries(200)) stream.Append(v);
-
-  const std::string snapshot = stream.Snapshot();
-  auto frame = UnwrapFrame(snapshot, kStreamMagic, "stream");
-  ASSERT_TRUE(frame.ok()) << frame.status();
-  ASSERT_EQ(frame->version, 6u);
-  std::string v5_payload(frame->payload);
-  ASSERT_GT(v5_payload.size(), kPublishTailBytes);
-  v5_payload.erase(v5_payload.size() - kPublishTailBytes);  // publish (v6)
-  const std::string v5_snapshot = WrapFrame(kStreamMagic, 5, v5_payload);
-
-  auto restored = ManagedStream::Restore(v5_snapshot);
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  // v5 predates publication telemetry: only the restore's own publish shows.
-  EXPECT_EQ(restored->publish_stats().Read().skipped, 0);
-  EXPECT_EQ(restored->total_points(), stream.total_points());
-  EXPECT_EQ(restored->window_histogram().RangeSum(0, 64),
-            stream.window_histogram().RangeSum(0, 64));
 }
 
 TEST(ManagedStreamSerializationTest, PublishStatsSurviveSnapshotRoundTrip) {
@@ -566,42 +431,25 @@ TEST(ManagedStreamSerializationTest, PublishStatsSurviveSnapshotRoundTrip) {
 }
 
 TEST(ManagedStreamSerializationTest, NegativePublishTailIsRejected) {
-  StreamConfig config;
-  config.window_size = 32;
-  config.num_buckets = 4;
-  ManagedStream stream = ManagedStream::Create(config).value();
-  for (double v : TestSeries(40)) stream.Append(v);
-
-  const std::string snapshot = stream.Snapshot();
-  auto frame = UnwrapFrame(snapshot, kStreamMagic, "stream");
-  ASSERT_TRUE(frame.ok()) << frame.status();
-  std::string payload(frame->payload);
+  std::string payload = SamplePayload();
   ASSERT_GT(payload.size(), kPublishTailBytes);
   // Force the publishes counter (right after the u64 length and the two u32
   // layout constants of the publish block) to -1.
   const size_t counter_at = payload.size() - kPublishTailBytes + 8 + 4 + 4;
   for (size_t i = 0; i < 8; ++i) payload[counter_at + i] = '\xff';
   const auto restored =
-      ManagedStream::Restore(WrapFrame(kStreamMagic, 6, payload));
+      ManagedStream::Restore(WrapFrame(kStreamMagic, kStreamVersion, payload));
   EXPECT_FALSE(restored.ok());
   EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ManagedStreamSerializationTest, NegativeCountersAreRejected) {
-  StreamConfig config;
-  config.window_size = 32;
-  config.num_buckets = 4;
-  ManagedStream stream = ManagedStream::Create(config).value();
-  for (double v : TestSeries(40)) stream.Append(v);
-
-  const std::string snapshot = stream.Snapshot();
-  auto frame = UnwrapFrame(snapshot, kStreamMagic, "stream");
-  ASSERT_TRUE(frame.ok()) << frame.status();
-  for (const size_t offset : {44u, 52u}) {  // dropped / degraded_builds
-    std::string payload(frame->payload);
+  const std::string sample = SamplePayload();
+  for (const size_t offset : {43u, 51u}) {  // dropped / degraded_builds
+    std::string payload = sample;
     for (size_t i = 0; i < 8; ++i) payload[offset + i] = '\xff';  // -1
-    const auto restored =
-        ManagedStream::Restore(WrapFrame(kStreamMagic, 3, payload));
+    const auto restored = ManagedStream::Restore(
+        WrapFrame(kStreamMagic, kStreamVersion, payload));
     EXPECT_FALSE(restored.ok()) << "offset " << offset;
     EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
   }

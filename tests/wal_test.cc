@@ -26,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include "src/engine/query_engine.h"
+#include "src/engine/wal_records.h"
 #include "src/util/governor.h"
 #include "src/util/wal.h"
 
@@ -280,6 +281,38 @@ TEST_F(WalTest, PolicySpecRoundTripsAndRejectsGarbage) {
         "interval:zero", "always:5"}) {
     EXPECT_FALSE(wal::ParsePolicySpec(spec).ok()) << spec;
   }
+}
+
+TEST(WalRecordsTest, CreateRoundTripsAndTheOlderLayoutIsRejected) {
+  StreamConfig config;
+  config.window_size = 256;
+  config.num_buckets = 12;
+  config.epsilon = 0.3;
+  config.keep_quantiles = false;
+  config.quantile_epsilon = 0.02;
+  config.build_mode = WindowBuildMode::kApprox;
+  config.build_delta = 0.4;
+  const std::string payload = walrec::EncodeCreate("eth0", config);
+  auto record = walrec::Decode(payload);
+  ASSERT_TRUE(record.ok()) << record.status();
+  EXPECT_EQ(record->type, walrec::RecordType::kCreate);
+  EXPECT_EQ(record->name, "eth0");
+  EXPECT_EQ(record->config.window_size, 256);
+  EXPECT_EQ(record->config.num_buckets, 12);
+  EXPECT_EQ(record->config.epsilon, 0.3);
+  EXPECT_FALSE(record->config.keep_quantiles);
+  EXPECT_EQ(record->config.quantile_epsilon, 0.02);
+  EXPECT_TRUE(record->config.keep_distinct);
+  EXPECT_EQ(record->config.build_mode, WindowBuildMode::kApprox);
+  EXPECT_EQ(record->config.build_delta, 0.4);
+
+  // The older layout carried a keep_lifetime byte after eps: type u32, the
+  // length-prefixed name, then window, buckets and eps at 8 bytes each.
+  std::string older = payload;
+  older.insert(4 + 8 + 4 + 3 * 8, 1, '\1');
+  const auto rejected = walrec::Decode(older);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(WalTest, GovernorRefusalIsResourceExhausted) {
