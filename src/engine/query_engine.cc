@@ -3,12 +3,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
-#include <cstdlib>
-#include <cctype>
 #include <charconv>
 #include <chrono>
 #include <condition_variable>
+#include <cstdlib>
+#include <cstring>
 #include <map>
 #include <mutex>
 #include <set>
@@ -30,66 +31,120 @@ namespace streamhist {
 
 namespace {
 
-std::vector<std::string> Tokenize(const std::string& statement) {
-  // Manual whitespace split, byte-for-byte equivalent to `istringstream >>`
-  // but several times cheaper — this is the hottest line of Execute, and a
-  // stringstream here costs more than the registry lookup, snapshot
-  // acquisition, and stats recording of the concurrent core combined.
-  std::vector<std::string> tokens;
-  tokens.reserve(4);
-  const size_t n = statement.size();
-  size_t i = 0;
-  while (i < n) {
-    while (i < n && std::isspace(static_cast<unsigned char>(statement[i]))) {
-      ++i;
-    }
-    const size_t start = i;
-    while (i < n && !std::isspace(static_cast<unsigned char>(statement[i]))) {
-      ++i;
-    }
-    if (i > start) tokens.emplace_back(statement, start, i - start);
+// The whitespace set of std::isspace in the C locale.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+// Error-path only: the upper-cased verb some messages quote.
+std::string UpperCopy(std::string_view token) {
+  std::string out(token);
+  for (char& c : out) {
+    if (c >= 'a' && c <= 'z') c = static_cast<char>(c - 'a' + 'A');
   }
-  return tokens;
+  return out;
 }
 
-std::string ToUpper(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return std::toupper(c); });
-  return s;
-}
-
-Result<int64_t> ParseInt(const std::string& token) {
+Result<int64_t> ParseInt(std::string_view token) {
   int64_t value = 0;
   const auto [ptr, ec] =
       std::from_chars(token.data(), token.data() + token.size(), value);
   if (ec != std::errc() || ptr != token.data() + token.size()) {
-    return Status::InvalidArgument("expected an integer, got '" + token + "'");
+    return Status::InvalidArgument("expected an integer, got '" +
+                                   std::string(token) + "'");
   }
   return value;
 }
 
-Result<double> ParseDouble(const std::string& token) {
+Result<double> ParseDouble(std::string_view token) {
+  // strtod's grammar is the language's ("+1", "0x1p3", "inf", "nan"; APPEND
+  // quarantines the non-finite ones), so from_chars is no substitute. It
+  // needs a NUL-terminated copy: on the stack unless the token is long.
+  char stack[64];
+  std::string heap;
+  const char* text = stack;
+  if (token.size() < sizeof(stack)) {
+    std::memcpy(stack, token.data(), token.size());
+    stack[token.size()] = '\0';
+  } else {
+    heap.assign(token);
+    text = heap.c_str();
+  }
   char* end = nullptr;
-  const double value = std::strtod(token.c_str(), &end);
-  if (end != token.c_str() + token.size() || token.empty()) {
-    return Status::InvalidArgument("expected a number, got '" + token + "'");
+  const double value = std::strtod(text, &end);
+  if (end != text + token.size() || token.empty()) {
+    return Status::InvalidArgument("expected a number, got '" +
+                                   std::string(token) + "'");
   }
   return value;
 }
 
-std::string FormatNumber(double v) {
-  std::ostringstream os;
-  os.precision(12);
-  os << v;
-  return os.str();
+// The ack of every ingest surface, text APPEND and batch frame alike.
+std::string AppendAck(size_t values, int64_t quarantined) {
+  std::string out = "appended " +
+                    std::to_string(static_cast<int64_t>(values) - quarantined) +
+                    " point(s)";
+  if (quarantined > 0) {
+    out += ", quarantined " + std::to_string(quarantined) + " non-finite";
+  }
+  return out;
 }
+
+}  // namespace
+
+std::string FormatAnswer(double v) {
+  char buf[32];  // "%.12g" needs at most 19: -1.23456789012e-308
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 12);
+  return std::string(buf, r.ptr);
+}
+
+/// A statement's whitespace-separated tokens, as views into the statement.
+/// The first kInline live in place; a statement with more (a long text
+/// APPEND) moves them all to the heap.
+class StatementTokens {
+ public:
+  explicit StatementTokens(std::string_view statement) {
+    const size_t n = statement.size();
+    size_t i = 0;
+    while (i < n) {
+      while (i < n && IsSpace(statement[i])) ++i;
+      const size_t start = i;
+      while (i < n && !IsSpace(statement[i])) ++i;
+      if (i > start) Push(statement.substr(start, i - start));
+    }
+  }
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  std::string_view operator[](size_t i) const {
+    return spill_.empty() ? inline_[i] : spill_[i];
+  }
+
+ private:
+  static constexpr size_t kInline = 8;
+
+  void Push(std::string_view token) {
+    if (size_ < kInline) {
+      inline_[size_++] = token;
+      return;
+    }
+    if (spill_.empty()) spill_.assign(inline_.begin(), inline_.end());
+    spill_.push_back(token);
+    ++size_;
+  }
+
+  std::array<std::string_view, kInline> inline_;
+  std::vector<std::string_view> spill_;
+  size_t size_ = 0;
+};
+
+namespace {
 
 /// Resolves a [lo, hi) window range from "lo hi" or "LAST k" argument forms.
-Result<std::pair<int64_t, int64_t>> ParseRange(
-    const std::vector<std::string>& tokens, size_t first_arg,
-    int64_t window_size) {
+Result<std::pair<int64_t, int64_t>> ParseRange(const StatementTokens& tokens,
+                                               size_t first_arg,
+                                               int64_t window_size) {
   if (tokens.size() == first_arg + 2 &&
-      ToUpper(tokens[first_arg]) == "LAST") {
+      KeywordEquals(tokens[first_arg], "LAST")) {
     STREAMHIST_ASSIGN_OR_RETURN(int64_t k, ParseInt(tokens[first_arg + 1]));
     if (k < 1) return Status::InvalidArgument("LAST k requires k >= 1");
     k = std::min(k, window_size);
@@ -99,10 +154,10 @@ Result<std::pair<int64_t, int64_t>> ParseRange(
     STREAMHIST_ASSIGN_OR_RETURN(int64_t lo, ParseInt(tokens[first_arg]));
     STREAMHIST_ASSIGN_OR_RETURN(int64_t hi, ParseInt(tokens[first_arg + 1]));
     if (!(0 <= lo && lo <= hi && hi <= window_size)) {
-      std::ostringstream msg;
-      msg << "range [" << lo << "," << hi << ") outside window of size "
-          << window_size;
-      return Status::OutOfRange(msg.str());
+      return Status::OutOfRange("range [" + std::to_string(lo) + "," +
+                                std::to_string(hi) +
+                                ") outside window of size " +
+                                std::to_string(window_size));
     }
     return std::make_pair(lo, hi);
   }
@@ -1040,49 +1095,28 @@ Status QueryEngine::BootstrapFromImage(std::string_view image,
   return wal_->log->TruncateBefore(floor + 1);
 }
 
-Result<std::string> QueryEngine::Execute(const std::string& statement) {
-  const std::vector<std::string> tokens = Tokenize(statement);
-  if (tokens.empty()) return Status::InvalidArgument("empty statement");
-  const std::string verb = ToUpper(tokens[0]);
-  QueryVerb verb_id = QueryVerb::kNumVerbs;
-  const bool known = ParseQueryVerb(verb, &verb_id);
-  const auto start = std::chrono::steady_clock::now();
-  StreamHandle touched;
-  Result<std::string> result = ExecuteParsed(tokens, verb, nullptr, &touched);
-  if (known) {
-    const int64_t nanos =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    (touched ? touched.stats() : engine_stats_)
-        .Record(verb_id, result.ok(), nanos);
-  }
-  return result;
-}
-
-Result<std::string> QueryEngine::Execute(const std::string& statement,
-                                         ExecContext& ctx) {
+Result<std::string> QueryEngine::ExecuteStatement(std::string_view statement,
+                                                  ExecContext* ctx) {
   // Session cancellation / deadline is a statement-boundary check: a verb
   // that already started runs to completion (BUILD aside, which inherits
   // the session deadline into its degradation ladder).
-  if (ctx.ShouldStop()) {
+  if (ctx != nullptr && ctx->ShouldStop()) {
     return Status::Cancelled("session cancelled");
   }
-  const std::vector<std::string> tokens = Tokenize(statement);
+  const StatementTokens tokens(statement);
   if (tokens.empty()) return Status::InvalidArgument("empty statement");
-  const std::string verb = ToUpper(tokens[0]);
-  QueryVerb verb_id = QueryVerb::kNumVerbs;
-  const bool known = ParseQueryVerb(verb, &verb_id);
+  QueryVerb verb = QueryVerb::kNumVerbs;
+  const bool known = ParseQueryVerb(tokens[0], &verb);
   const auto start = std::chrono::steady_clock::now();
   StreamHandle touched;
-  Result<std::string> result = ExecuteParsed(tokens, verb, &ctx, &touched);
+  Result<std::string> result = ExecuteParsed(tokens, verb, ctx, &touched);
   if (known) {
     const int64_t nanos =
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - start)
             .count();
     (touched ? touched.stats() : engine_stats_)
-        .Record(verb_id, result.ok(), nanos);
+        .Record(verb, result.ok(), nanos);
   }
   return result;
 }
@@ -1116,312 +1150,320 @@ Result<std::string> QueryEngine::ExecuteBatchAppend(
     record(false);
     return quarantined.status();
   }
-  std::ostringstream os;
-  os << "appended " << (static_cast<int64_t>(values.size()) - *quarantined)
-     << " point(s)";
-  if (*quarantined > 0) {
-    os << ", quarantined " << *quarantined << " non-finite";
-  }
   record(true);
-  return os.str();
+  return AppendAck(values.size(), *quarantined);
 }
 
-Result<std::string> QueryEngine::ExecuteParsed(
-    const std::vector<std::string>& tokens, const std::string& verb,
-    ExecContext* ctx, StreamHandle* touched) {
-  if (verb == "LIST") {
-    std::ostringstream os;
-    const auto names = ListStreams();
-    for (size_t i = 0; i < names.size(); ++i) {
-      if (i > 0) os << ' ';
-      os << names[i];
+Result<std::string> QueryEngine::ExecuteParsed(const StatementTokens& tokens,
+                                               QueryVerb verb,
+                                               ExecContext* ctx,
+                                               StreamHandle* touched) {
+  // Engine-scoped verbs that take no stream.
+  switch (verb) {
+    case QueryVerb::kList: {
+      const std::vector<std::string> names = ListStreams();
+      std::string out;
+      for (size_t i = 0; i < names.size(); ++i) {
+        if (i > 0) out += ' ';
+        out += names[i];
+      }
+      return out;
     }
-    return os.str();
-  }
-
-  if (verb == "MEMORY") {
-    if (tokens.size() != 1) {
-      return Status::InvalidArgument("MEMORY takes no arguments");
-    }
-    std::ostringstream os;
-    os << "budget=" << governor::FormatBytes(governor::Budget())
-       << "; used=" << governor::Used() << "; peak=" << governor::Peak();
-    for (const StreamHandle& handle : registry_.Handles()) {
-      const auto lock = handle.LockWriter();
-      os << "; " << handle.name() << "=" << handle.stream().MemoryBytes();
-    }
-    return os.str();
-  }
-
-  if (verb == "STATS" && tokens.size() == 1) {
-    std::ostringstream os;
-    os << "engine:";
-    const std::string engine_lines = engine_stats_.Render();
-    if (!engine_lines.empty()) os << '\n' << engine_lines;
-    if (wal_ != nullptr) {
-      os << "\nwal: durable lsn=" << wal_->log->durable_lsn()
-         << "; last recovery: " << wal_->recovery.ToString();
-    }
-    const ReplicaStatus rs = replica_status();
-    if (rs.is_replica) {
-      const bool ro = repl_->read_only.load(std::memory_order_relaxed);
-      os << "\nreplication: role=" << (ro ? "replica" : "promoted")
-         << "; connected=" << (rs.connected ? "yes" : "no")
-         << "; primary durable lsn=" << rs.primary_durable_lsn
-         << "; applied lsn=" << rs.applied_lsn << "; lag records="
-         << std::max<int64_t>(0, rs.primary_durable_lsn - rs.applied_lsn)
-         << "; lag ms="
-         << (rs.last_contact_ms == 0 ? 0 : SteadyNowMs() - rs.last_contact_ms)
-         << "; reconnects=" << rs.reconnects << "; batches=" << rs.batches
-         << "; records=" << rs.records << "; bootstraps=" << rs.bootstraps;
-    }
-    for (const StreamHandle& handle : registry_.Handles()) {
-      os << "\nstream " << handle.name() << ':';
-      const std::string lines = handle.stats().Render();
-      if (!lines.empty()) os << '\n' << lines;
-      const std::string publish = handle.stream().publish_stats().Render();
-      if (!publish.empty()) os << '\n' << publish;
-    }
-    return os.str();
-  }
-
-  if (verb == "WAL") {
-    if (wal_ == nullptr) {
-      return Status::FailedPrecondition(
-          "no write-ahead log is open (start with --wal-dir)");
-    }
-    if (tokens.size() == 2 && ToUpper(tokens[1]) == "CHECKPOINT") {
-      std::string summary;
-      STREAMHIST_RETURN_NOT_OK(WalCheckpointNow(&summary));
-      return summary;
-    }
-    if (tokens.size() != 1) {
-      return Status::InvalidArgument("WAL [CHECKPOINT]");
-    }
-    const wal::StatsSnapshot s = wal_->log->stats();
-    std::ostringstream os;
-    os << "policy=" << wal::PolicySpecString(wal_->log->options())
-       << "; durable lsn=" << s.durable_lsn << "; next lsn=" << s.next_lsn
-       << "; records=" << s.records << "; bytes=" << s.bytes
-       << "; fsyncs=" << s.fsyncs << "; sync waits=" << s.sync_waits
-       << "; segments created=" << s.segments_created << " deleted="
-       << s.segments_deleted << "; checkpoints="
-       << wal_->checkpoints.load(std::memory_order_relaxed)
-       << "\nlast recovery: " << wal_->recovery.ToString();
-    return os.str();
-  }
-
-  if (verb == "FLUSH") {
-    // Publish any coalesced appends now (DESIGN.md §13). Not a QueryVerb
-    // enumerator for the same reason WAL is not: the enum's cardinality is
-    // baked into the SHMS stats layout.
-    if (tokens.size() > 2) {
-      return Status::InvalidArgument("FLUSH [<stream>]");
-    }
-    int64_t flushed = 0;
-    if (tokens.size() == 2) {
-      STREAMHIST_ASSIGN_OR_RETURN(StreamHandle handle, Stream(tokens[1]));
-      const auto lock = handle.LockWriter();
-      if (handle.stream().FlushIfDirty()) ++flushed;
-    } else {
+    case QueryVerb::kMemory: {
+      if (tokens.size() != 1) {
+        return Status::InvalidArgument("MEMORY takes no arguments");
+      }
+      std::ostringstream os;
+      os << "budget=" << governor::FormatBytes(governor::Budget())
+         << "; used=" << governor::Used() << "; peak=" << governor::Peak();
       for (const StreamHandle& handle : registry_.Handles()) {
         const auto lock = handle.LockWriter();
-        if (handle.stream().FlushIfDirty()) ++flushed;
+        os << "; " << handle.name() << "=" << handle.stream().MemoryBytes();
       }
+      return os.str();
     }
-    return "flushed " + std::to_string(flushed) + " stream(s)";
-  }
-
-  if (verb == "PROMOTE") {
-    // Failover: flip this replica into a writable primary at a clean batch
-    // boundary (DESIGN.md §14). Not a QueryVerb enumerator for the same
-    // SHMS stats-layout reason as WAL and FLUSH.
-    if (tokens.size() != 1) {
-      return Status::InvalidArgument("PROMOTE takes no arguments");
+    case QueryVerb::kStats: {
+      if (tokens.size() != 1) break;
+      std::ostringstream os;
+      os << "engine:";
+      const std::string engine_lines = engine_stats_.Render();
+      if (!engine_lines.empty()) os << '\n' << engine_lines;
+      if (wal_ != nullptr) {
+        os << "\nwal: durable lsn=" << wal_->log->durable_lsn()
+           << "; last recovery: " << wal_->recovery.ToString();
+      }
+      const ReplicaStatus rs = replica_status();
+      if (rs.is_replica) {
+        const bool ro = repl_->read_only.load(std::memory_order_relaxed);
+        os << "\nreplication: role=" << (ro ? "replica" : "promoted")
+           << "; connected=" << (rs.connected ? "yes" : "no")
+           << "; primary durable lsn=" << rs.primary_durable_lsn
+           << "; applied lsn=" << rs.applied_lsn << "; lag records="
+           << std::max<int64_t>(0, rs.primary_durable_lsn - rs.applied_lsn)
+           << "; lag ms="
+           << (rs.last_contact_ms == 0 ? 0 : SteadyNowMs() - rs.last_contact_ms)
+           << "; reconnects=" << rs.reconnects << "; batches=" << rs.batches
+           << "; records=" << rs.records << "; bootstraps=" << rs.bootstraps;
+      }
+      for (const StreamHandle& handle : registry_.Handles()) {
+        os << "\nstream " << handle.name() << ':';
+        const std::string lines = handle.stats().Render();
+        if (!lines.empty()) os << '\n' << lines;
+        const std::string publish = handle.stream().publish_stats().Render();
+        if (!publish.empty()) os << '\n' << publish;
+      }
+      return os.str();
     }
-    std::function<Result<std::string>()> promote;
-    {
-      const std::lock_guard<std::mutex> lock(repl_->mu);
-      promote = repl_->promote;
-    }
-    if (!promote) {
-      return Status::FailedPrecondition(
-          "PROMOTE requires a replica (start with --replica-of)");
-    }
-    return promote();
+    case QueryVerb::kNumVerbs:
+      // WAL, FLUSH and PROMOTE are not QueryVerb enumerators: the enum's
+      // cardinality is baked into the SHMS stats layout.
+      if (KeywordEquals(tokens[0], "WAL")) {
+        if (wal_ == nullptr) {
+          return Status::FailedPrecondition(
+              "no write-ahead log is open (start with --wal-dir)");
+        }
+        if (tokens.size() == 2 && KeywordEquals(tokens[1], "CHECKPOINT")) {
+          std::string summary;
+          STREAMHIST_RETURN_NOT_OK(WalCheckpointNow(&summary));
+          return summary;
+        }
+        if (tokens.size() != 1) {
+          return Status::InvalidArgument("WAL [CHECKPOINT]");
+        }
+        const wal::StatsSnapshot s = wal_->log->stats();
+        std::ostringstream os;
+        os << "policy=" << wal::PolicySpecString(wal_->log->options())
+           << "; durable lsn=" << s.durable_lsn << "; next lsn=" << s.next_lsn
+           << "; records=" << s.records << "; bytes=" << s.bytes
+           << "; fsyncs=" << s.fsyncs << "; sync waits=" << s.sync_waits
+           << "; segments created=" << s.segments_created << " deleted="
+           << s.segments_deleted << "; checkpoints="
+           << wal_->checkpoints.load(std::memory_order_relaxed)
+           << "\nlast recovery: " << wal_->recovery.ToString();
+        return os.str();
+      }
+      if (KeywordEquals(tokens[0], "FLUSH")) {
+        // Publish any coalesced appends now (DESIGN.md §13).
+        if (tokens.size() > 2) {
+          return Status::InvalidArgument("FLUSH [<stream>]");
+        }
+        int64_t flushed = 0;
+        if (tokens.size() == 2) {
+          STREAMHIST_ASSIGN_OR_RETURN(StreamHandle handle,
+                                      Stream(std::string(tokens[1])));
+          const auto lock = handle.LockWriter();
+          if (handle.stream().FlushIfDirty()) ++flushed;
+        } else {
+          for (const StreamHandle& handle : registry_.Handles()) {
+            const auto lock = handle.LockWriter();
+            if (handle.stream().FlushIfDirty()) ++flushed;
+          }
+        }
+        return "flushed " + std::to_string(flushed) + " stream(s)";
+      }
+      if (KeywordEquals(tokens[0], "PROMOTE")) {
+        // Failover: flip this replica into a writable primary at a clean
+        // batch boundary (DESIGN.md §14).
+        if (tokens.size() != 1) {
+          return Status::InvalidArgument("PROMOTE takes no arguments");
+        }
+        std::function<Result<std::string>()> promote;
+        {
+          const std::lock_guard<std::mutex> lock(repl_->mu);
+          promote = repl_->promote;
+        }
+        if (!promote) {
+          return Status::FailedPrecondition(
+              "PROMOTE requires a replica (start with --replica-of)");
+        }
+        return promote();
+      }
+      break;
+    default:
+      break;
   }
 
   if (tokens.size() < 2) {
-    return Status::InvalidArgument(verb + " requires an argument");
+    return Status::InvalidArgument(UpperCopy(tokens[0]) +
+                                   " requires an argument");
   }
 
-  if (verb == "CREATE") {
-    if (tokens.size() > 4) {
-      return Status::InvalidArgument("CREATE <stream> [<window> [<buckets>]]");
+  // Engine-scoped verbs that take an argument.
+  switch (verb) {
+    case QueryVerb::kCreate: {
+      if (tokens.size() > 4) {
+        return Status::InvalidArgument(
+            "CREATE <stream> [<window> [<buckets>]]");
+      }
+      StreamConfig config;
+      if (tokens.size() >= 3) {
+        STREAMHIST_ASSIGN_OR_RETURN(config.window_size, ParseInt(tokens[2]));
+      }
+      if (tokens.size() == 4) {
+        STREAMHIST_ASSIGN_OR_RETURN(config.num_buckets, ParseInt(tokens[3]));
+      }
+      const std::string name(tokens[1]);
+      const Status status = CreateStream(name, config);
+      if (!status.ok()) return status;
+      return "created stream '" + name + "'";
     }
-    StreamConfig config;
-    if (tokens.size() >= 3) {
-      STREAMHIST_ASSIGN_OR_RETURN(config.window_size, ParseInt(tokens[2]));
+    case QueryVerb::kDrop: {
+      if (tokens.size() != 2) return Status::InvalidArgument("DROP <stream>");
+      const std::string name(tokens[1]);
+      const Status status = DropStream(name);
+      if (!status.ok()) return status;
+      return "dropped stream '" + name + "'";
     }
-    if (tokens.size() == 4) {
-      STREAMHIST_ASSIGN_OR_RETURN(config.num_buckets, ParseInt(tokens[3]));
+    case QueryVerb::kSave: {
+      if (tokens.size() != 2) return Status::InvalidArgument("SAVE <path>");
+      const std::string path(tokens[1]);
+      SaveReport save_report;
+      const Status status = SaveCheckpoint(path, &save_report);
+      if (!status.ok()) return status;
+      std::ostringstream os;
+      os << "checkpointed " << registry_.size() << " stream(s) to " << path;
+      if (save_report.attempts > 1) {
+        os << " (after " << save_report.attempts << " attempts)";
+      }
+      if (wal_ != nullptr) {
+        os << "; wal durable lsn=" << wal_->log->durable_lsn();
+      }
+      return os.str();
     }
-    const Status status = CreateStream(tokens[1], config);
-    if (!status.ok()) return status;
-    return "created stream '" + tokens[1] + "'";
-  }
-  if (verb == "DROP") {
-    if (tokens.size() != 2) return Status::InvalidArgument("DROP <stream>");
-    const Status status = DropStream(tokens[1]);
-    if (!status.ok()) return status;
-    return "dropped stream '" + tokens[1] + "'";
-  }
-  if (verb == "SAVE") {
-    if (tokens.size() != 2) return Status::InvalidArgument("SAVE <path>");
-    SaveReport save_report;
-    const Status status = SaveCheckpoint(tokens[1], &save_report);
-    if (!status.ok()) return status;
-    std::ostringstream os;
-    os << "checkpointed " << registry_.size() << " stream(s) to "
-       << tokens[1];
-    if (save_report.attempts > 1) {
-      os << " (after " << save_report.attempts << " attempts)";
+    case QueryVerb::kLoad: {
+      if (tokens.size() != 2) return Status::InvalidArgument("LOAD <path>");
+      if (repl_->read_only.load(std::memory_order_relaxed)) {
+        // LOAD rewrites the registry and re-anchors the log — on a replica
+        // that would fork its LSN space away from the primary's.
+        return Status::ReadOnly(
+            "this node is a read replica; LOAD must go to the primary");
+      }
+      STREAMHIST_ASSIGN_OR_RETURN(CheckpointReport report,
+                                  LoadCheckpoint(std::string(tokens[1])));
+      return report.ToString();
     }
-    if (wal_ != nullptr) {
-      os << "; wal durable lsn=" << wal_->log->durable_lsn();
-    }
-    return os.str();
-  }
-  if (verb == "LOAD") {
-    if (tokens.size() != 2) return Status::InvalidArgument("LOAD <path>");
-    if (repl_->read_only.load(std::memory_order_relaxed)) {
-      // LOAD rewrites the registry and re-anchors the log — on a replica
-      // that would fork its LSN space away from the primary's.
-      return Status::ReadOnly(
-          "this node is a read replica; LOAD must go to the primary");
-    }
-    STREAMHIST_ASSIGN_OR_RETURN(CheckpointReport report,
-                                LoadCheckpoint(tokens[1]));
-    return report.ToString();
+    default:
+      break;
   }
 
-  STREAMHIST_ASSIGN_OR_RETURN(StreamHandle handle, Stream(tokens[1]));
+  STREAMHIST_ASSIGN_OR_RETURN(StreamHandle handle,
+                              Stream(std::string(tokens[1])));
   *touched = handle;
 
   // Mutating verbs: the per-stream writer mutex serializes them against
   // each other and against SAVE; the republish at the end is what makes the
   // mutation visible to (lock-free) readers.
-  if (verb == "APPEND") {
-    if (tokens.size() < 3) {
-      return Status::InvalidArgument("APPEND <stream> <v1> [v2 ...]");
+  switch (verb) {
+    case QueryVerb::kAppend: {
+      if (tokens.size() < 3) {
+        return Status::InvalidArgument("APPEND <stream> <v1> [v2 ...]");
+      }
+      std::vector<double> values;
+      values.reserve(tokens.size() - 2);
+      for (size_t i = 2; i < tokens.size(); ++i) {
+        STREAMHIST_ASSIGN_OR_RETURN(double v, ParseDouble(tokens[i]));
+        values.push_back(v);
+      }
+      // One engine-side append path for every ingest surface: the text verb
+      // lands on the same log-then-commit core as the binary batch frame.
+      STREAMHIST_ASSIGN_OR_RETURN(const int64_t quarantined,
+                                  AppendLocked(handle, values));
+      return AppendAck(values.size(), quarantined);
     }
-    std::vector<double> values;
-    values.reserve(tokens.size() - 2);
-    for (size_t i = 2; i < tokens.size(); ++i) {
-      STREAMHIST_ASSIGN_OR_RETURN(double v, ParseDouble(tokens[i]));
-      values.push_back(v);
-    }
-    // One engine-side append path for every ingest surface: the text verb
-    // lands on the same log-then-commit core as the binary batch frame.
-    STREAMHIST_ASSIGN_OR_RETURN(const int64_t quarantined,
-                                AppendLocked(handle, values));
-    std::ostringstream os;
-    os << "appended " << (static_cast<int64_t>(values.size()) - quarantined)
-       << " point(s)";
-    if (quarantined > 0) os << ", quarantined " << quarantined << " non-finite";
-    return os.str();
-  }
-  if (verb == "BUILD") {
-    // Offline V-optimal construction over the current window contents.
-    // An optional mode argument is sticky: it updates the stream's
-    // configured build mode (DESCRIBE shows it; checkpoints carry it). An
-    // optional trailing WITHIN <ms> clause (not sticky) sets the wall-clock
-    // budget for this one build; with none, the session deadline (when the
-    // caller passed an ExecContext with one) or STREAMHIST_BUILD_DEADLINE_MS
-    // supplies the default.
-    size_t end = tokens.size();
-    bool explicit_within = false;
-    int64_t within_ms = DefaultBuildDeadlineMillis();
-    if (end >= 4 && ToUpper(tokens[end - 2]) == "WITHIN") {
-      STREAMHIST_ASSIGN_OR_RETURN(within_ms, ParseInt(tokens[end - 1]));
-      if (within_ms <= 0) {
+    case QueryVerb::kBuild: {
+      // Offline V-optimal construction over the current window contents.
+      // An optional mode argument is sticky: it updates the stream's
+      // configured build mode (DESCRIBE shows it; checkpoints carry it). An
+      // optional trailing WITHIN <ms> clause (not sticky) sets the wall-clock
+      // budget for this one build; with none, the session deadline (when the
+      // caller passed an ExecContext with one) or STREAMHIST_BUILD_DEADLINE_MS
+      // supplies the default.
+      size_t end = tokens.size();
+      bool explicit_within = false;
+      int64_t within_ms = DefaultBuildDeadlineMillis();
+      if (end >= 4 && KeywordEquals(tokens[end - 2], "WITHIN")) {
+        STREAMHIST_ASSIGN_OR_RETURN(within_ms, ParseInt(tokens[end - 1]));
+        if (within_ms <= 0) {
+          return Status::InvalidArgument(
+              "WITHIN requires a positive millisecond budget");
+        }
+        explicit_within = true;
+        end -= 2;
+      }
+      Deadline deadline = within_ms > 0 ? Deadline::AfterMillis(within_ms)
+                                        : Deadline::Infinite();
+      if (!explicit_within && ctx != nullptr && !ctx->deadline().infinite()) {
+        deadline = ctx->deadline();
+      }
+      const auto lock = handle.LockWriter();
+      ManagedStream& stream = handle.stream();
+      if (end == 3 && KeywordEquals(tokens[2], "EXACT")) {
+        const Status status = stream.SetBuildMode(WindowBuildMode::kExact, 0.0);
+        if (!status.ok()) return status;
+      } else if (end == 4 && KeywordEquals(tokens[2], "ERROR")) {
+        STREAMHIST_ASSIGN_OR_RETURN(double delta, ParseDouble(tokens[3]));
+        const Status status =
+            stream.SetBuildMode(WindowBuildMode::kApprox, delta);
+        if (!status.ok()) return status;
+      } else if (end != 2) {
         return Status::InvalidArgument(
-            "WITHIN requires a positive millisecond budget");
+            "BUILD <stream> [EXACT | ERROR <delta>] [WITHIN <ms>]");
       }
-      explicit_within = true;
-      end -= 2;
-    }
-    Deadline deadline = within_ms > 0 ? Deadline::AfterMillis(within_ms)
-                                      : Deadline::Infinite();
-    if (!explicit_within && ctx != nullptr && !ctx->deadline().infinite()) {
-      deadline = ctx->deadline();
-    }
-    const auto lock = handle.LockWriter();
-    ManagedStream& stream = handle.stream();
-    if (end == 3 && ToUpper(tokens[2]) == "EXACT") {
-      const Status status = stream.SetBuildMode(WindowBuildMode::kExact, 0.0);
-      if (!status.ok()) return status;
-    } else if (end == 4 && ToUpper(tokens[2]) == "ERROR") {
-      STREAMHIST_ASSIGN_OR_RETURN(double delta, ParseDouble(tokens[3]));
-      const Status status =
-          stream.SetBuildMode(WindowBuildMode::kApprox, delta);
-      if (!status.ok()) return status;
-    } else if (end != 2) {
-      return Status::InvalidArgument(
-          "BUILD <stream> [EXACT | ERROR <delta>] [WITHIN <ms>]");
-    }
-    const WindowBuildReport report = stream.BuildWindowHistogram(deadline);
-    stream.PublishSnapshot();
-    std::ostringstream os;
-    if (report.rung == BuildRung::kApprox) {
-      os << "built approx(delta=" << FormatNumber(report.delta) << ")";
-    } else if (report.rung == BuildRung::kSnapshot) {
-      os << "built snapshot(eps=" << FormatNumber(report.delta) << ")";
-    } else {
-      os << "built exact";
-    }
-    os << ": n=" << report.points
-       << ", buckets=" << report.histogram.num_buckets()
-       << ", sse=" << FormatNumber(report.sse);
-    if (report.rung != BuildRung::kExact) {
-      os << ", certified sse <= " << FormatNumber(report.bound_factor)
-         << " * OPT";
-    }
-    if (report.degradation.degraded) {
-      os << "; degraded: " << report.degradation.ToString();
-    }
-    return os.str();
-  }
-
-  if (verb == "STATS") {
-    // STATS <stream> [<verb>] — counters, or one verb's latency histogram.
-    if (tokens.size() == 2) {
-      std::string lines = handle.stats().Render();
-      const std::string publish = handle.stream().publish_stats().Render();
-      if (!publish.empty()) {
-        if (!lines.empty()) lines += '\n';
-        lines += publish;
+      const WindowBuildReport report = stream.BuildWindowHistogram(deadline);
+      stream.PublishSnapshot();
+      std::ostringstream os;
+      if (report.rung == BuildRung::kApprox) {
+        os << "built approx(delta=" << FormatAnswer(report.delta) << ")";
+      } else if (report.rung == BuildRung::kSnapshot) {
+        os << "built snapshot(eps=" << FormatAnswer(report.delta) << ")";
+      } else {
+        os << "built exact";
       }
-      if (lines.empty()) {
-        return "no statistics recorded for '" + tokens[1] + "'";
+      os << ": n=" << report.points
+         << ", buckets=" << report.histogram.num_buckets()
+         << ", sse=" << FormatAnswer(report.sse);
+      if (report.rung != BuildRung::kExact) {
+        os << ", certified sse <= " << FormatAnswer(report.bound_factor)
+           << " * OPT";
       }
-      return lines;
+      if (report.degradation.degraded) {
+        os << "; degraded: " << report.degradation.ToString();
+      }
+      return os.str();
     }
-    if (tokens.size() == 3) {
-      QueryVerb which = QueryVerb::kNumVerbs;
-      if (!ParseQueryVerb(ToUpper(tokens[2]), &which)) {
-        return Status::InvalidArgument("unknown verb '" + tokens[2] + "'");
+    case QueryVerb::kStats: {
+      // STATS <stream> [<verb>] — counters, or one verb's latency histogram.
+      if (tokens.size() == 2) {
+        std::string lines = handle.stats().Render();
+        const std::string publish = handle.stream().publish_stats().Render();
+        if (!publish.empty()) {
+          if (!lines.empty()) lines += '\n';
+          lines += publish;
+        }
+        if (lines.empty()) {
+          return "no statistics recorded for '" + std::string(tokens[1]) + "'";
+        }
+        return lines;
       }
-      const Histogram latency = handle.stats().LatencyHistogram(which);
-      if (latency.num_buckets() == 0) {
-        return "no statistics recorded for '" + tokens[1] + "' " +
-               QueryVerbName(which);
+      if (tokens.size() == 3) {
+        QueryVerb which = QueryVerb::kNumVerbs;
+        if (!ParseQueryVerb(tokens[2], &which)) {
+          return Status::InvalidArgument("unknown verb '" +
+                                         std::string(tokens[2]) + "'");
+        }
+        const Histogram latency = handle.stats().LatencyHistogram(which);
+        if (latency.num_buckets() == 0) {
+          return "no statistics recorded for '" + std::string(tokens[1]) +
+                 "' " + QueryVerbName(which);
+        }
+        // Rendered through core/histogram: domain index i is log2 latency
+        // bucket i (bucket i >= 1 spans [256 << i, 256 << (i+1)) ns).
+        return latency.ToString();
       }
-      // Rendered through core/histogram: domain index i is log2 latency
-      // bucket i (bucket i >= 1 spans [256 << i, 256 << (i+1)) ns).
-      return latency.ToString();
+      return Status::InvalidArgument("STATS [<stream> [<verb>]]");
     }
-    return Status::InvalidArgument("STATS [<stream> [<verb>]]");
+    default:
+      break;
   }
 
   // Replica rung of the degradation ladder: when this node is a badly
@@ -1434,79 +1476,82 @@ Result<std::string> QueryEngine::ExecuteParsed(
   const std::shared_ptr<const QuerySnapshot> snap = handle.snapshot();
   const int64_t window_size = snap->window_size;
 
-  if (verb == "SUM" || verb == "AVG") {
-    STREAMHIST_ASSIGN_OR_RETURN(auto range,
-                                ParseRange(tokens, 2, window_size));
-    const auto [lo, hi] = range;
-    if (verb == "AVG" && lo == hi) {
-      return Status::InvalidArgument("AVG over an empty range");
+  switch (verb) {
+    case QueryVerb::kSum:
+    case QueryVerb::kAvg: {
+      STREAMHIST_ASSIGN_OR_RETURN(auto range,
+                                  ParseRange(tokens, 2, window_size));
+      const auto [lo, hi] = range;
+      if (verb == QueryVerb::kAvg && lo == hi) {
+        return Status::InvalidArgument("AVG over an empty range");
+      }
+      const double sum = snap->histogram().RangeSum(lo, hi);
+      return FormatAnswer(verb == QueryVerb::kSum
+                              ? sum
+                              : sum / static_cast<double>(hi - lo));
     }
-    const double sum = snap->histogram().RangeSum(lo, hi);
-    return FormatNumber(verb == "SUM"
-                            ? sum
-                            : sum / static_cast<double>(hi - lo));
-  }
-  if (verb == "SUMBOUND" || verb == "AVGBOUND") {
-    STREAMHIST_ASSIGN_OR_RETURN(auto range,
-                                ParseRange(tokens, 2, window_size));
-    const auto [lo, hi] = range;
-    if (lo == hi) {
-      return Status::InvalidArgument(verb + " over an empty range");
+    case QueryVerb::kSumBound:
+    case QueryVerb::kAvgBound: {
+      STREAMHIST_ASSIGN_OR_RETURN(auto range,
+                                  ParseRange(tokens, 2, window_size));
+      const auto [lo, hi] = range;
+      if (lo == hi) {
+        return Status::InvalidArgument(std::string(QueryVerbName(verb)) +
+                                       " over an empty range");
+      }
+      const BoundedValue r =
+          verb == QueryVerb::kSumBound
+              ? RangeSumWithBound(snap->histogram(), snap->bucket_errors(), lo,
+                                  hi)
+              : RangeAverageWithBound(snap->histogram(),
+                                      snap->bucket_errors(), lo, hi);
+      return FormatAnswer(r.estimate) + " +- " + FormatAnswer(r.error_bound);
     }
-    const BoundedValue r =
-        verb == "SUMBOUND"
-            ? RangeSumWithBound(snap->histogram(), snap->bucket_errors(), lo,
-                                hi)
-            : RangeAverageWithBound(snap->histogram(), snap->bucket_errors(),
-                                    lo, hi);
-    return FormatNumber(r.estimate) + " +- " + FormatNumber(r.error_bound);
-  }
-  if (verb == "POINT") {
-    if (tokens.size() != 3) {
-      return Status::InvalidArgument("POINT <stream> <i>");
+    case QueryVerb::kPoint: {
+      if (tokens.size() != 3) {
+        return Status::InvalidArgument("POINT <stream> <i>");
+      }
+      STREAMHIST_ASSIGN_OR_RETURN(int64_t i, ParseInt(tokens[2]));
+      if (i < 0 || i >= window_size) {
+        return Status::OutOfRange("point index outside the window");
+      }
+      return FormatAnswer(snap->histogram().Estimate(i));
     }
-    STREAMHIST_ASSIGN_OR_RETURN(int64_t i, ParseInt(tokens[2]));
-    if (i < 0 || i >= window_size) {
-      return Status::OutOfRange("point index outside the window");
+    case QueryVerb::kQuantile: {
+      if (tokens.size() != 3) {
+        return Status::InvalidArgument("QUANTILE <stream> <phi>");
+      }
+      if (snap->quantiles == nullptr) {
+        return Status::FailedPrecondition(
+            "quantiles disabled for this stream");
+      }
+      if (snap->quantiles->size() == 0) {
+        return Status::FailedPrecondition("stream is empty");
+      }
+      STREAMHIST_ASSIGN_OR_RETURN(double phi, ParseDouble(tokens[2]));
+      if (phi < 0.0 || phi > 1.0) {
+        return Status::OutOfRange("phi must be in [0, 1]");
+      }
+      return FormatAnswer(snap->quantiles->Quantile(phi));
     }
-    return FormatNumber(snap->histogram().Estimate(i));
+    case QueryVerb::kDistinct:
+      if (!snap->has_distinct) {
+        return Status::FailedPrecondition(
+            "distinct counting disabled for this stream");
+      }
+      return FormatAnswer(snap->distinct_estimate);
+    case QueryVerb::kCount:
+      return FormatAnswer(static_cast<double>(snap->total_points));
+    case QueryVerb::kError:
+      return FormatAnswer(snap->approx_error());
+    case QueryVerb::kDescribe:
+      return snap->describe();
+    case QueryVerb::kShow:
+      return snap->histogram().ToString();
+    default:
+      return Status::InvalidArgument("unknown verb '" + UpperCopy(tokens[0]) +
+                                     "'");
   }
-  if (verb == "QUANTILE") {
-    if (tokens.size() != 3) {
-      return Status::InvalidArgument("QUANTILE <stream> <phi>");
-    }
-    if (snap->quantiles == nullptr) {
-      return Status::FailedPrecondition("quantiles disabled for this stream");
-    }
-    if (snap->quantiles->size() == 0) {
-      return Status::FailedPrecondition("stream is empty");
-    }
-    STREAMHIST_ASSIGN_OR_RETURN(double phi, ParseDouble(tokens[2]));
-    if (phi < 0.0 || phi > 1.0) {
-      return Status::OutOfRange("phi must be in [0, 1]");
-    }
-    return FormatNumber(snap->quantiles->Quantile(phi));
-  }
-  if (verb == "DISTINCT") {
-    if (!snap->has_distinct) {
-      return Status::FailedPrecondition(
-          "distinct counting disabled for this stream");
-    }
-    return FormatNumber(snap->distinct_estimate);
-  }
-  if (verb == "COUNT") {
-    return FormatNumber(static_cast<double>(snap->total_points));
-  }
-  if (verb == "ERROR") {
-    return FormatNumber(snap->approx_error());
-  }
-  if (verb == "DESCRIBE") {
-    return snap->describe();
-  }
-  if (verb == "SHOW") {
-    return snap->histogram().ToString();
-  }
-  return Status::InvalidArgument("unknown verb '" + verb + "'");
 }
 
 }  // namespace streamhist

@@ -27,6 +27,13 @@ struct StreamBatch {
   std::vector<double> values;
 };
 
+class StatementTokens;  // a tokenized statement; query_engine.cc
+
+/// A numeric answer as the query language prints it: 12 significant digits,
+/// byte for byte what printf("%.12g") prints (std::to_chars, so no locale
+/// and no stream). "inf", "-inf", "nan" and "-nan" print as printf does.
+std::string FormatAnswer(double v);
+
 /// A registry of named managed streams plus a tiny textual query language —
 /// the "operators commonly pose queries" interface of the paper's
 /// introduction made concrete. All answers come from the maintained
@@ -153,15 +160,20 @@ class QueryEngine {
   std::vector<std::string> ListStreams() const;
 
   /// Parses and executes one query statement; the result is rendered as a
-  /// human-readable string (numeric answers use shortest-round-trip format).
-  /// Thread-safe (see the concurrency model above).
-  Result<std::string> Execute(const std::string& statement);
+  /// human-readable string (numeric answers print 12 significant digits,
+  /// the bytes of printf("%.12g"); see FormatAnswer). Thread-safe (see the
+  /// concurrency model above).
+  Result<std::string> Execute(std::string_view statement) {
+    return ExecuteStatement(statement, nullptr);
+  }
 
   /// Execute with a per-session context: a cancelled context (or an expired
   /// session deadline) fails the statement with kCancelled before it runs,
   /// and a BUILD with no WITHIN clause inherits the session deadline.
   /// Cancellation is checked at statement boundaries, not mid-verb.
-  Result<std::string> Execute(const std::string& statement, ExecContext& ctx);
+  Result<std::string> Execute(std::string_view statement, ExecContext& ctx) {
+    return ExecuteStatement(statement, &ctx);
+  }
 
   /// The binary wire form of `APPEND <name> <values...>` (the TCP front
   /// end's batch frame): appends every value under the stream's writer mutex
@@ -378,13 +390,19 @@ class QueryEngine {
   struct WalState;      // defined in query_engine.cc
   struct FlusherState;  // defined in query_engine.cc
   struct ReplState;     // defined in query_engine.cc
-  /// The parsed-statement dispatcher behind both Execute overloads. Sets
-  /// `*touched` to the resolved stream handle for stream-scoped verbs (the
-  /// stats target); leaves it empty for engine-scoped verbs and failed
+  /// The one statement path behind both Execute overloads (`ctx` may be
+  /// null): tokenize, resolve the verb, dispatch, record the verb's stats.
+  Result<std::string> ExecuteStatement(std::string_view statement,
+                                       ExecContext* ctx);
+
+  /// The dispatcher for a tokenized statement. `verb` is kNumVerbs for a
+  /// first token that names no QueryVerb (WAL, FLUSH, PROMOTE or unknown).
+  /// Sets `*touched` to the resolved stream handle for stream-scoped verbs
+  /// (the stats target); leaves it empty for engine-scoped verbs and failed
   /// lookups.
-  Result<std::string> ExecuteParsed(const std::vector<std::string>& tokens,
-                                    const std::string& verb, ExecContext* ctx,
-                                    StreamHandle* touched);
+  Result<std::string> ExecuteParsed(const StatementTokens& tokens,
+                                    QueryVerb verb,
+                                    ExecContext* ctx, StreamHandle* touched);
 
   /// LoadCheckpoint's parsing core; `header_lsn`, when non-null, receives
   /// the SHCP header's global WAL LSN.

@@ -38,9 +38,19 @@ const char* QueryVerbName(QueryVerb verb) {
   return kVerbNames[i].name;
 }
 
+bool KeywordEquals(std::string_view token, std::string_view keyword) {
+  if (token.size() != keyword.size()) return false;
+  for (size_t i = 0; i < token.size(); ++i) {
+    char c = token[i];
+    if (c >= 'a' && c <= 'z') c = static_cast<char>(c - 'a' + 'A');
+    if (c != keyword[i]) return false;
+  }
+  return true;
+}
+
 bool ParseQueryVerb(std::string_view token, QueryVerb* verb) {
   for (const VerbNameEntry& entry : kVerbNames) {
-    if (token == entry.name) {
+    if (KeywordEquals(token, entry.name)) {
       *verb = entry.verb;
       return true;
     }
@@ -158,7 +168,8 @@ std::string QueryStats::Render() const {
        << " errors=" << c.errors << " mean="
        << FormatNanos(static_cast<double>(c.total_nanos) /
                       static_cast<double>(c.count))
-       << " p50<=" << FormatNanos(static_cast<double>(QuantileUpperNanos(c, 0.5)))
+       << " p50<="
+       << FormatNanos(static_cast<double>(QuantileUpperNanos(c, 0.5)))
        << " p99<="
        << FormatNanos(static_cast<double>(QuantileUpperNanos(c, 0.99)));
   }

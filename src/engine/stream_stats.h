@@ -46,8 +46,12 @@ inline constexpr size_t kNumQueryVerbs =
 /// Stable upper-case name ("SUM", "BUILD", ...).
 const char* QueryVerbName(QueryVerb verb);
 
-/// Parses an upper-case verb token; false when it names no known verb.
+/// Parses a verb token in any ASCII case; false when it names no known verb.
 bool ParseQueryVerb(std::string_view token, QueryVerb* verb);
+
+/// True when `token` spells the upper-case `keyword` in any ASCII case: the
+/// query language's keyword match, with no upper-cased copy of the token.
+bool KeywordEquals(std::string_view token, std::string_view keyword);
 
 /// Number of logarithmic latency buckets QueryStats keeps per verb.
 inline constexpr size_t kVerbLatencyBuckets = 24;

@@ -38,7 +38,10 @@ using SteadyClock = std::chrono::steady_clock;
 /// lives entirely inside QueryEngine::Execute.
 struct Connection {
   UniqueFd fd;
+  /// Received bytes; those before `input_pos` are parsed. Statements are
+  /// parsed as views into `input`, which is compacted once per socket read.
   std::string input;
+  size_t input_pos = 0;
   std::string output;
   size_t output_pos = 0;
   /// An oversized line drew its ERR; swallow bytes to the next newline.
@@ -59,6 +62,15 @@ struct Connection {
   SteadyClock::time_point last_progress{};
 
   size_t PendingOut() const { return output.size() - output_pos; }
+  std::string_view Unparsed() const {
+    return std::string_view(input).substr(input_pos);
+  }
+  void Consume(size_t bytes) { input_pos += bytes; }
+  /// Drops the parsed prefix: one move of the unparsed tail.
+  void Compact() {
+    input.erase(0, input_pos);
+    input_pos = 0;
+  }
 };
 
 struct Stats {
@@ -179,12 +191,17 @@ struct TcpServer::Impl {
 
   // --- per-connection protocol pump ---------------------------------------
 
-  void Reply(Connection& conn, std::string bytes) {
+  void Reply(Connection& conn, std::string_view bytes) {
     if (conn.PendingOut() == 0) conn.last_progress = SteadyClock::now();
     conn.output.append(bytes);
   }
 
-  Result<std::string> ExecuteStatement(const std::string& statement) {
+  void ReplyOk(Connection& conn, std::string_view payload) {
+    if (conn.PendingOut() == 0) conn.last_progress = SteadyClock::now();
+    AppendOkResponse(&conn.output, payload);
+  }
+
+  Result<std::string> ExecuteStatement(std::string_view statement) {
     ExecContext ctx(options.deadline_ms > 0
                         ? Deadline::AfterMillis(options.deadline_ms)
                         : Deadline::Infinite());
@@ -200,21 +217,21 @@ struct TcpServer::Impl {
     if (conn.subscribe_from >= 0) return;
     while (!conn.close_after_flush &&
            conn.PendingOut() < options.max_output_buffer) {
+      const std::string_view input = conn.Unparsed();
       if (conn.discarding_line) {
-        const size_t nl = conn.input.find('\n');
-        if (nl == std::string::npos) {
-          conn.input.clear();  // still mid-oversized-line; drop and wait
+        const size_t nl = input.find('\n');
+        if (nl == std::string_view::npos) {
+          conn.Consume(input.size());  // still mid-oversized-line; drop, wait
           break;
         }
-        conn.input.erase(0, nl + 1);
+        conn.Consume(nl + 1);
         conn.discarding_line = false;
         continue;
       }
-      if (conn.input.empty()) break;
+      if (input.empty()) break;
 
-      if (static_cast<unsigned char>(conn.input[0]) == kBatchFrameFirstByte) {
-        const FrameScan scan =
-            ScanBatchFrame(conn.input, options.max_frame_bytes);
+      if (static_cast<unsigned char>(input[0]) == kBatchFrameFirstByte) {
+        const FrameScan scan = ScanBatchFrame(input, options.max_frame_bytes);
         if (scan.state == FrameScan::State::kNeedMore) break;
         if (scan.state == FrameScan::State::kBad) {
           // The declared length is untrustworthy, so the next frame boundary
@@ -224,7 +241,7 @@ struct TcpServer::Impl {
           conn.close_after_flush = true;
           break;
         }
-        const std::string_view frame(conn.input.data(), scan.frame_bytes);
+        const std::string_view frame = input.substr(0, scan.frame_bytes);
         Result<BatchAppend> batch = DecodeBatchAppend(frame);
         if (!batch.ok()) {
           // CRC/payload damage inside a well-delimited frame: the bytes on
@@ -244,20 +261,20 @@ struct TcpServer::Impl {
           stats.batch_values.fetch_add(
               static_cast<int64_t>(batch->values.size()),
               std::memory_order_relaxed);
-          Reply(conn, OkResponse(result.value()));
+          ReplyOk(conn, result.value());
         } else {
           stats.statement_errors.fetch_add(1, std::memory_order_relaxed);
           Reply(conn, ErrResponse(result.status()));
         }
-        conn.input.erase(0, scan.frame_bytes);
+        conn.Consume(scan.frame_bytes);
         continue;
       }
 
-      const auto first_byte = static_cast<unsigned char>(conn.input[0]);
+      const auto first_byte = static_cast<unsigned char>(input[0]);
       if (first_byte >= kReplSubscribeFirstByte &&
           first_byte <= (kReplProgressMagic & 0xFFu)) {
         const ReplFrameScan scan =
-            ScanReplFrame(conn.input, options.max_frame_bytes);
+            ScanReplFrame(input, options.max_frame_bytes);
         if (scan.state == FrameScan::State::kNeedMore) break;
         if (scan.state == FrameScan::State::kBad ||
             scan.magic != kReplSubscribeMagic) {
@@ -272,8 +289,8 @@ struct TcpServer::Impl {
           conn.close_after_flush = true;
           break;
         }
-        const Result<int64_t> from = DecodeReplSubscribe(
-            std::string_view(conn.input.data(), scan.frame_bytes));
+        const Result<int64_t> from =
+            DecodeReplSubscribe(input.substr(0, scan.frame_bytes));
         if (!from.ok()) {
           stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
           Reply(conn, ErrResponse("PROTOCOL", from.status().message()));
@@ -295,14 +312,14 @@ struct TcpServer::Impl {
           conn.close_after_flush = true;
           break;
         }
-        conn.input.erase(0, scan.frame_bytes);
+        conn.Consume(scan.frame_bytes);
         conn.subscribe_from = *from;
         break;  // remaining input travels with the socket to the hub
       }
 
-      const size_t nl = conn.input.find('\n');
-      if (nl == std::string::npos) {
-        if (conn.input.size() > options.max_line_bytes) {
+      const size_t nl = input.find('\n');
+      if (nl == std::string_view::npos) {
+        if (input.size() > options.max_line_bytes) {
           stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
           Reply(conn,
                 ErrResponse("PROTOCOL",
@@ -310,7 +327,7 @@ struct TcpServer::Impl {
                                 std::to_string(options.max_line_bytes) +
                                 "-byte line limit"));
           conn.discarding_line = true;
-          conn.input.clear();
+          conn.Consume(input.size());
           continue;
         }
         break;  // incomplete line; wait for more bytes
@@ -321,20 +338,21 @@ struct TcpServer::Impl {
                                 "statement exceeds the " +
                                     std::to_string(options.max_line_bytes) +
                                     "-byte line limit"));
-        conn.input.erase(0, nl + 1);
+        conn.Consume(nl + 1);
         continue;
       }
-      std::string line = conn.input.substr(0, nl);
-      conn.input.erase(0, nl + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
+      // A view into conn.input: nothing below touches the input buffer.
+      std::string_view line = input.substr(0, nl);
+      conn.Consume(nl + 1);
+      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
       const size_t first = line.find_first_not_of(" \t");
-      if (first == std::string::npos || line[first] == '#') {
+      if (first == std::string_view::npos || line[first] == '#') {
         continue;  // blank / comment: no reply, like the console
       }
       const Result<std::string> result = ExecuteStatement(line);
       if (result.ok()) {
         stats.statements.fetch_add(1, std::memory_order_relaxed);
-        Reply(conn, OkResponse(result.value()));
+        ReplyOk(conn, result.value());
       } else {
         stats.statement_errors.fetch_add(1, std::memory_order_relaxed);
         Reply(conn, ErrResponse(result.status()));
@@ -367,14 +385,14 @@ struct TcpServer::Impl {
   /// the connection must be destroyed.
   bool ServiceConnection(Worker& worker, Connection& conn) {
     for (;;) {
-      const size_t in_before = conn.input.size();
+      const size_t in_before = conn.Unparsed().size();
       const size_t out_before = conn.PendingOut();
       ParseAvailable(conn);
       if (!FlushOutput(conn)) return false;
       if (conn.close_after_flush && conn.PendingOut() == 0) return false;
-      const bool progressed = conn.input.size() != in_before ||
+      const bool progressed = conn.Unparsed().size() != in_before ||
                               (conn.PendingOut() < out_before &&
-                               !conn.input.empty());
+                               !conn.Unparsed().empty());
       if (!progressed) break;
     }
     if (conn.subscribe_from >= 0 && conn.PendingOut() == 0 &&
@@ -398,6 +416,7 @@ struct TcpServer::Impl {
     stats.repl_subscribes.fetch_add(1, std::memory_order_relaxed);
     const int64_t charge = conn.charge;
     const int64_t from = conn.subscribe_from;
+    conn.Compact();
     std::string pending = std::move(conn.input);
     const int raw = conn.fd.Release();
     worker.conns.erase(fd);
@@ -407,7 +426,7 @@ struct TcpServer::Impl {
 
   void UpdateInterest(Worker& worker, Connection& conn) {
     const bool pause = conn.PendingOut() >= options.max_output_buffer ||
-                       conn.input.size() >= input_cap ||
+                       conn.Unparsed().size() >= input_cap ||
                        conn.close_after_flush;
     const bool want_write = conn.PendingOut() > 0;
     if (pause == conn.paused && want_write == conn.want_write) return;
@@ -431,6 +450,7 @@ struct TcpServer::Impl {
 
   void OnReadable(Worker& worker, Connection& conn) {
     char buf[16384];
+    conn.Compact();
     const size_t room = input_cap > conn.input.size()
                             ? input_cap - conn.input.size()
                             : 0;
@@ -552,7 +572,7 @@ struct TcpServer::Impl {
         if (it == worker.conns.end()) continue;
         Connection& conn = it->second;
         if (mask & (EPOLLHUP | EPOLLERR)) {
-          if (!conn.input.empty()) {
+          if (!conn.Unparsed().empty()) {
             stats.dropped_mid_request.fetch_add(1, std::memory_order_relaxed);
           }
           DestroyConnection(worker, fd);

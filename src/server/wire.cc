@@ -1,5 +1,7 @@
 #include "src/server/wire.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cstring>
 
 #include "src/util/fault.h"
@@ -78,17 +80,19 @@ Result<BatchAppend> DecodeBatchAppend(std::string_view frame) {
   return batch;
 }
 
-std::string OkResponse(std::string_view payload) {
-  size_t lines = 1;
-  for (char c : payload) {
-    if (c == '\n') ++lines;
-  }
+void AppendOkResponse(std::string* out, std::string_view payload) {
+  const auto newlines = std::count(payload.begin(), payload.end(), '\n');
+  size_t lines = 1 + static_cast<size_t>(newlines);
   // A payload that already ends in '\n' declared its last line there.
   if (!payload.empty() && payload.back() == '\n') --lines;
-  std::string out = "OK " + std::to_string(lines) + "\n";
-  out.append(payload);
-  if (payload.empty() || payload.back() != '\n') out.push_back('\n');
-  return out;
+  char count[24];
+  const std::to_chars_result r =
+      std::to_chars(count, count + sizeof(count), lines);
+  out->append("OK ");
+  out->append(count, r.ptr);
+  out->push_back('\n');
+  out->append(payload);
+  if (payload.empty() || payload.back() != '\n') out->push_back('\n');
 }
 
 std::string ErrResponse(std::string_view code, std::string_view message) {

@@ -76,9 +76,10 @@ FrameScan ScanBatchFrame(std::string_view buffer, size_t max_frame_bytes);
 /// Validates (magic, version, CRC) and decodes one complete frame.
 Result<BatchAppend> DecodeBatchAppend(std::string_view frame);
 
-/// "OK <k>\n" + the payload's lines (k = line count; a trailing '\n' is
-/// added when missing). An empty payload is sent as one empty line.
-std::string OkResponse(std::string_view payload);
+/// Appends "OK <k>\n" + the payload's lines to `out` (k = line count; a
+/// trailing '\n' is added when missing). An empty payload is sent as one
+/// empty line. Replies go straight into the connection's output buffer.
+void AppendOkResponse(std::string* out, std::string_view payload);
 
 /// "ERR <code> <message>\n" with any newlines in `message` flattened to
 /// spaces so the reply stays one line.

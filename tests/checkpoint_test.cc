@@ -15,22 +15,20 @@
 #include "src/engine/query_engine.h"
 #include "src/util/fileio.h"
 #include "src/util/framing.h"
+#include "test_dir.h"
 
 namespace streamhist {
 namespace {
 
-/// A unique checkpoint path under the test's scratch directory, removed on
-/// destruction so repeated runs do not see stale files.
+/// A checkpoint path in a directory of the running test's own, removed
+/// with the directory on destruction.
 class TempPath {
  public:
-  explicit TempPath(const std::string& name)
-      : path_(::testing::TempDir() + "/" + name) {
-    std::remove(path_.c_str());
-  }
-  ~TempPath() { std::remove(path_.c_str()); }
+  explicit TempPath(const std::string& name) : path_(dir_.File(name)) {}
   const std::string& str() const { return path_; }
 
  private:
+  TestDir dir_;
   std::string path_;
 };
 

@@ -11,6 +11,7 @@
 #include "src/engine/query_engine.h"
 #include "src/util/random.h"
 #include "src/util/wal.h"
+#include "test_dir.h"
 
 namespace streamhist {
 namespace {
@@ -30,11 +31,12 @@ CliResult RunTool(std::vector<std::string> args) {
 class CliTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir();
+    dir_ = scratch_.path();
     csv_ = dir_ + "/series.csv";
     hist_ = dir_ + "/hist.bin";
   }
 
+  TestDir scratch_;  // this test's own directory
   std::string dir_, csv_, hist_;
 };
 

@@ -20,6 +20,7 @@
 #include "src/util/fault.h"
 #include "src/util/fileio.h"
 #include "src/util/governor.h"
+#include "test_dir.h"
 #include "tcp_test_client.h"
 
 namespace streamhist {
@@ -29,12 +30,9 @@ class FaultInjectionTest : public ::testing::Test {
  protected:
   void TearDown() override { fault::DisarmAll(); }
 
-  std::string TempFile(const std::string& name) {
-    const std::string path = ::testing::TempDir() + "/" + name;
-    std::remove(path.c_str());
-    std::remove((path + ".tmp").c_str());
-    return path;
-  }
+  std::string TempFile(const std::string& name) { return scratch_.File(name); }
+
+  TestDir scratch_;  // this test's own directory
 };
 
 TEST_F(FaultInjectionTest, RegistryArmsAndDisarms) {
@@ -290,9 +288,7 @@ TEST_F(FaultInjectionTest, KnownPointsMatchesHeaderRegistry) {
 class WalFaultTest : public FaultInjectionTest {
  protected:
   std::string TempWalDir(const std::string& name) {
-    const std::string dir = ::testing::TempDir() + "/" + name;
-    std::filesystem::remove_all(dir);
-    return dir;
+    return scratch_.File(name);
   }
 
   QueryEngine::WalConfig AlwaysConfig() {

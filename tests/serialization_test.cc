@@ -24,6 +24,7 @@
 #include "src/util/framing.h"
 #include "src/util/random.h"
 #include "src/util/wal.h"
+#include "test_dir.h"
 
 namespace streamhist {
 namespace {
@@ -549,9 +550,9 @@ TEST(AdversarialBytesTest, BitFlipsOnEverySynopsisBlobAreRejected) {
 // crash or fail structurally.
 
 // Writes `bytes` as the single segment of a fresh WAL directory.
-std::string WalDirWithSegment(const std::string& name,
+std::string WalDirWithSegment(const TestDir& scratch, const std::string& name,
                               const std::string& bytes) {
-  const std::string dir = ::testing::TempDir() + "/" + name;
+  const std::string dir = scratch.File(name);
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   std::ofstream file(dir + "/wal-00000000000000000001.seg", std::ios::binary);
@@ -561,8 +562,8 @@ std::string WalDirWithSegment(const std::string& name,
 }
 
 // A well-formed segment image holding `records` one-byte payload records.
-std::string SampleSegmentBytes(int records) {
-  const std::string dir = ::testing::TempDir() + "/wal_sample_src";
+std::string SampleSegmentBytes(const TestDir& scratch, int records) {
+  const std::string dir = scratch.File("wal_sample_src");
   std::filesystem::remove_all(dir);
   wal::Options options;
   options.policy = wal::SyncPolicy::kNone;
@@ -586,11 +587,12 @@ std::string SampleSegmentBytes(int records) {
 }
 
 TEST(WalAdversarialBytesTest, TruncationAtEveryPrefixLengthScansCleanly) {
-  const std::string bytes = SampleSegmentBytes(6);
+  const TestDir scratch;
+  const std::string bytes = SampleSegmentBytes(scratch, 6);
   int64_t prev_records = 0;
   for (size_t len = 0; len <= bytes.size(); ++len) {
-    const std::string dir = WalDirWithSegment("wal_prefix_grid",
-                                              bytes.substr(0, len));
+    const std::string dir =
+        WalDirWithSegment(scratch, "wal_prefix_grid", bytes.substr(0, len));
     wal::OpenReport report;
     int64_t seen = 0;
     const Status status = wal::Wal::Scan(
@@ -611,12 +613,14 @@ TEST(WalAdversarialBytesTest, TruncationAtEveryPrefixLengthScansCleanly) {
 }
 
 TEST(WalAdversarialBytesTest, EverySingleBitFlipScansCleanly) {
-  const std::string bytes = SampleSegmentBytes(4);
+  const TestDir scratch;
+  const std::string bytes = SampleSegmentBytes(scratch, 4);
   for (size_t byte = 0; byte < bytes.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string corrupted = bytes;
       corrupted[byte] ^= static_cast<char>(1 << bit);
-      const std::string dir = WalDirWithSegment("wal_bitflip_grid", corrupted);
+      const std::string dir =
+          WalDirWithSegment(scratch, "wal_bitflip_grid", corrupted);
       wal::OpenReport report;
       const Status status =
           wal::Wal::Scan(dir, [](int64_t, std::string_view) {
@@ -638,10 +642,11 @@ TEST(WalAdversarialBytesTest, EverySingleBitFlipScansCleanly) {
 TEST(WalAdversarialBytesTest, OpenRepairsEveryTruncationPrefix) {
   // The write path's contract: whatever prefix a crash leaves, Open must
   // truncate the tear, report it, and leave a log that appends cleanly.
-  const std::string bytes = SampleSegmentBytes(3);
+  const TestDir scratch;
+  const std::string bytes = SampleSegmentBytes(scratch, 3);
   for (size_t len = 0; len < bytes.size(); len += 7) {
-    const std::string dir = WalDirWithSegment("wal_repair_grid",
-                                              bytes.substr(0, len));
+    const std::string dir =
+        WalDirWithSegment(scratch, "wal_repair_grid", bytes.substr(0, len));
     wal::OpenReport report;
     auto log = wal::Wal::Open(dir, wal::Options{}, &report);
     ASSERT_TRUE(log.ok()) << "prefix " << len << ": " << log.status();

@@ -5,6 +5,7 @@
 // are driven by the blocking tcp_test_client.h helper; everything runs on
 // ephemeral ports so tests parallelize.
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <limits>
@@ -22,6 +23,7 @@
 #include "src/util/framing.h"
 #include "src/util/governor.h"
 #include "tcp_test_client.h"
+#include "test_dir.h"
 
 namespace streamhist {
 namespace {
@@ -106,10 +108,19 @@ TEST(WireTest, DecodeRejectsOverflowingValueCount) {
 }
 
 TEST(WireTest, OkResponseCountsLines) {
-  EXPECT_EQ(net::OkResponse("one"), "OK 1\none\n");
-  EXPECT_EQ(net::OkResponse("a\nb"), "OK 2\na\nb\n");
-  EXPECT_EQ(net::OkResponse("a\nb\n"), "OK 2\na\nb\n");
-  EXPECT_EQ(net::OkResponse(""), "OK 1\n\n");
+  const auto ok = [](std::string_view payload) {
+    std::string out;
+    net::AppendOkResponse(&out, payload);
+    return out;
+  };
+  EXPECT_EQ(ok("one"), "OK 1\none\n");
+  EXPECT_EQ(ok("a\nb"), "OK 2\na\nb\n");
+  EXPECT_EQ(ok("a\nb\n"), "OK 2\na\nb\n");
+  EXPECT_EQ(ok(""), "OK 1\n\n");
+  // Appends after what the buffer already holds.
+  std::string queued = "OK 1\nfirst\n";
+  net::AppendOkResponse(&queued, "second");
+  EXPECT_EQ(queued, "OK 1\nfirst\nOK 1\nsecond\n");
 }
 
 TEST(WireTest, ErrResponseStaysOneLine) {
@@ -135,6 +146,9 @@ class TcpServerTest : public ::testing::Test {
     return server.ok() ? std::move(server.value()) : nullptr;
   }
 
+  // This test's own directory (WAL dirs); declared first so that it is
+  // removed after every engine, server and hub is gone.
+  TestDir scratch_;
   QueryEngine engine_;
 };
 
@@ -211,6 +225,89 @@ TEST_F(TcpServerTest, PipelinedRepliesArriveInRequestOrder) {
     ASSERT_EQ(reply.lines.size(), 1u);
     // In-order execution makes each COUNT see exactly i+1 points.
     EXPECT_EQ(reply.lines[0], std::to_string(i + 1)) << "count " << i;
+  }
+}
+
+// One write of 1,000 pipelined statements with blank and '#' lines, a CRLF
+// line, an oversized line and a binary batch frame mixed in. Every reply
+// arrives in request order with the bytes pinned below (the replies of the
+// ostringstream-era server), both when the write arrives whole and when
+// every socket read returns one byte.
+TEST_F(TcpServerTest, PipelinedMixedRequestsGetByteIdenticalReplies) {
+  ASSERT_TRUE(engine_.Execute("CREATE p 64 8").ok());
+  ASSERT_TRUE(engine_.Execute("CREATE q 16 4").ok());
+  std::string append = "APPEND p";
+  for (int i = 0; i < 100; ++i) {
+    append += ' ';
+    append += std::to_string(0.5 * i + (i % 7) * 0.125);
+  }
+  ASSERT_TRUE(engine_.Execute(append).ok());
+
+  struct Exchange {
+    std::string request;
+    std::string reply;  // empty: the request gets no reply
+  };
+  const std::vector<Exchange> statements = {
+      {"SUM p 0 64\n", "OK 1\n2183.75\n"},
+      {"AVG p LAST 10\n", "OK 1\n47.205\n"},
+      {"POINT p 5\n", "OK 1\n20.09375\n"},
+      {"QUANTILE p 0.5\n", "OK 1\n24.75\n"},
+      {"COUNT p\n", "OK 1\n100\n"},
+      {"sum p last 3\n", "OK 1\n144.28125\n"},
+      {"SUMBOUND p 0 32\n", "OK 1\n837.125 +- 2.38484800354\n"},
+      {"AVG p 3 3\n", "ERR INVALID_ARGUMENT AVG over an empty range\n"},
+      {"SUM nosuch 0 1\n", "ERR NOT_FOUND no stream named 'nosuch'\n"},
+      {"AvgBound p 10 20\n", "OK 1\n25.715625 +- 1.3666915248\n"},
+      {"FROB p\n", "ERR INVALID_ARGUMENT unknown verb 'FROB'\n"},
+      {"DISTINCT p\n", "OK 1\n98.8472691878\n"},
+      {"ERROR\tp\n", "OK 1\n82.59921875\n"},
+  };
+  std::vector<Exchange> script;
+  for (int i = 0; i < 1000; ++i) {
+    if (i % 97 == 0) script.push_back({"\n", ""});
+    if (i % 89 == 0) script.push_back({"   \t\n", ""});
+    if (i % 101 == 0) script.push_back({"# comment\n", ""});
+    if (i == 250) {
+      script.push_back({std::string(100, 'x') + "\n",
+                        "ERR PROTOCOL statement exceeds the 64-byte line "
+                        "limit\n"});
+    }
+    if (i == 500) script.push_back({"COUNT p\r\n", "OK 1\n100\n"});
+    if (i == 750) {
+      script.push_back({Frame("q", {1.5, 2.5,
+                                    std::numeric_limits<double>::quiet_NaN()}),
+                        "OK 1\nappended 2 point(s), quarantined 1 "
+                        "non-finite\n"});
+    }
+    script.push_back(statements[static_cast<size_t>(i) % statements.size()]);
+  }
+  std::string request;
+  for (const Exchange& e : script) request += e.request;
+
+  net::ServerOptions options;
+  options.max_line_bytes = 64;
+  auto server = StartServer(options);
+  ASSERT_NE(server, nullptr);
+  for (const bool short_reads : {false, true}) {
+    SCOPED_TRACE(short_reads ? "one byte per read" : "whole write");
+    if (short_reads) fault::Arm("net.read.short");
+    TcpTestClient client(server->port());
+    ASSERT_TRUE(client.connected());
+    ASSERT_TRUE(client.Send(request));
+    for (size_t i = 0; i < script.size(); ++i) {
+      const std::string& want = script[i].reply;
+      std::string got;
+      for (size_t lines = std::count(want.begin(), want.end(), '\n');
+           lines > 0; --lines) {
+        got += client.ReadLine() + "\n";
+      }
+      ASSERT_EQ(got, want) << "request " << i << ": " << script[i].request;
+    }
+    if (short_reads) {
+      EXPECT_GE(fault::TriggerCount("net.read.short"),
+                static_cast<int64_t>(request.size()));
+    }
+    fault::Disarm("net.read.short");
   }
 }
 
@@ -614,11 +711,7 @@ TEST(WireTest, ReplFrameCorruptFaultBreaksTheCrc) {
 
 class ReplicationTest : public TcpServerTest {
  protected:
-  std::string WalDir(const std::string& name) {
-    const std::string dir = ::testing::TempDir() + "/" + name;
-    std::filesystem::remove_all(dir);
-    return dir;
-  }
+  std::string WalDir(const std::string& name) { return scratch_.File(name); }
 
   void OpenWal(QueryEngine& engine, const std::string& name,
                int64_t segment_bytes = 0) {

@@ -29,6 +29,7 @@
 #include "src/engine/wal_records.h"
 #include "src/util/governor.h"
 #include "src/util/wal.h"
+#include "test_dir.h"
 
 namespace streamhist {
 namespace {
@@ -37,11 +38,7 @@ class WalTest : public ::testing::Test {
  protected:
   void TearDown() override { governor::SetBudgetForTest(0); }
 
-  std::string TempDir(const std::string& name) {
-    const std::string dir = ::testing::TempDir() + "/" + name;
-    std::filesystem::remove_all(dir);
-    return dir;
-  }
+  std::string TempDir(const std::string& name) { return scratch_.File(name); }
 
   wal::Options NonePolicy() {
     wal::Options options;
@@ -63,6 +60,8 @@ class WalTest : public ::testing::Test {
     EXPECT_TRUE(scanned.ok()) << scanned;
     return out;
   }
+
+  TestDir scratch_;  // this test's own directory
 };
 
 TEST_F(WalTest, LsnsAreMonotoneAcrossReopen) {
@@ -420,7 +419,7 @@ TEST_F(WalEngineTest, WalVerbReportsStatusAndRequiresAnOpenLog) {
   ASSERT_TRUE(stats.ok());
   EXPECT_NE(stats.value().find("wal: durable lsn=2"), std::string::npos);
 
-  const std::string save_path = ::testing::TempDir() + "/wal_verb.shcp";
+  const std::string save_path = TempDir("wal_verb.shcp");
   const auto saved = engine.Execute("SAVE " + save_path);
   ASSERT_TRUE(saved.ok()) << saved.status();
   EXPECT_NE(saved.value().find("wal durable lsn=2"), std::string::npos);
@@ -431,7 +430,7 @@ TEST_F(WalEngineTest, WalVerbReportsStatusAndRequiresAnOpenLog) {
 TEST_F(WalEngineTest, LoadReanchorsTheWalToTheLoadedState) {
   // A LOAD replaces the engine's state wholesale; stale WAL records must
   // never replay over it on the next restart.
-  const std::string checkpoint = ::testing::TempDir() + "/wal_foreign.shcp";
+  const std::string checkpoint = TempDir("wal_foreign.shcp");
   {
     QueryEngine other;  // no WAL: a "foreign" checkpoint
     ASSERT_TRUE(other.Execute("CREATE wifi 32 4").ok());
