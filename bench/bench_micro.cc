@@ -1,61 +1,21 @@
 // E10 — google-benchmark micro-benchmarks: per-operation costs of every
 // builder and of the supporting data structures.
-//
-// PR1 mode: `bench_micro --pr1_json=BENCH_PR1.json` skips google-benchmark
-// and instead times serial-vs-threaded construction (V-optimal DP layers and
-// engine batch construction across streams), writing a machine-readable JSON
-// artifact so later PRs have a perf trajectory. See EXPERIMENTS.md for the
-// schema and flags (--pr1_threads, --pr1_streams, --pr1_smoke, --pr1_dp_full).
-//
-// PR3 mode: `bench_micro --pr3_json=BENCH_PR3.json` times the exact O(n^2 B)
-// V-optimal DP against the (1+delta)-approximate interval-cover DP across an
-// (n, B, delta) grid and records realized approximation ratios against the
-// certified (1+delta)^(B-1) bound. Flags: --pr3_threads, --pr3_smoke. See
-// EXPERIMENTS.md for the schema and the exact-DP feasibility policy.
-//
-// PR4 mode: `bench_micro --pr4_json=BENCH_PR4.json` measures the resource
-// governor: BUILD latency percentiles through the degradation ladder vs the
-// raw kernels (the no-deadline overhead gate), and the rung distribution
-// when deadlines of {1, 5, 50} ms are imposed. Flags: --pr4_threads,
-// --pr4_smoke. See EXPERIMENTS.md for the schema.
-//
-// PR5 mode: `bench_micro --pr5_json=BENCH_PR5.json` measures the concurrent
-// engine core: Execute read throughput at 1/2/4/8 reader threads against a
-// concurrent APPEND writer (the snapshot-isolation scaling story), plus the
-// single-threaded Execute overhead vs a bench-local replica of the PR4 hot
-// path (plain std::map registry, direct synopsis query). Gates: 4-reader
-// speedup >= 2x (evaluated only when the host has >= 4 hardware threads)
-// and single-thread overhead < 3%. Flags: --pr5_smoke. See EXPERIMENTS.md.
 
-#include <algorithm>
-#include <atomic>
-#include <bit>
-#include <cctype>
-#include <charconv>
-#include <chrono>
-#include <cstdio>
-#include <fstream>
-#include <map>
-#include <sstream>
-#include <string>
-#include <thread>
+#include <cstddef>
+#include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include <benchmark/benchmark.h>
 
-#include "bench/common.h"
 #include "src/core/agglomerative.h"
-#include "src/core/approx_dp.h"
-#include "src/core/error_bounds.h"
 #include "src/core/fixed_window.h"
 #include "src/core/heuristics.h"
 #include "src/core/vopt_dp.h"
 #include "src/data/generators.h"
-#include "src/engine/managed_stream.h"
 #include "src/engine/query_engine.h"
 #include "src/quantile/gk_summary.h"
-#include "src/util/deadline.h"
 #include "src/sketch/fm_sketch.h"
 #include "src/sketch/l1_sketch.h"
 #include "src/stream/sliding_window.h"
@@ -63,7 +23,6 @@
 #include "src/timeseries/rtree.h"
 #include "src/util/random.h"
 #include "src/util/thread_pool.h"
-#include "src/util/timer.h"
 #include "src/wavelet/sliding_wavelet.h"
 #include "src/wavelet/synopsis.h"
 
@@ -287,909 +246,10 @@ void BM_HistogramRangeSum(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramRangeSum)->Arg(16)->Arg(256);
 
-// --- PR1: serial vs threaded construction, machine-readable artifact ---
-
-struct Pr1Row {
-  int64_t n = 0;
-  int64_t num_buckets = 0;
-  int64_t streams = 0;  // 0 for single-structure (DP) rows
-  double serial_seconds = 0.0;
-  double threaded_seconds = 0.0;
-  bool identical = false;  // threaded output bit-identical to serial
-};
-
-// Times one exact-DP build; fingerprints the result for the determinism
-// cross-check (exact error value + every bucket boundary/value).
-double TimeVOptDp(const std::vector<double>& data, int64_t num_buckets,
-                  std::string* fingerprint) {
-  Timer timer;
-  const OptimalHistogramResult result =
-      BuildVOptimalHistogram(data, num_buckets);
-  const double elapsed = timer.ElapsedSeconds();
-  std::ostringstream os;
-  os.precision(17);
-  os << result.error;
-  for (const Bucket& b : result.histogram.buckets()) {
-    os << '|' << b.begin << ',' << b.end << ',' << b.value;
-  }
-  *fingerprint = os.str();
-  return elapsed;
-}
-
-// Times engine batch construction: `streams` independent streams each fed an
-// n-point batch, then every synopsis refreshed. Parallelism comes from
-// AppendBatches/RefreshAll fanning per-stream jobs onto the pool.
-double TimeBatchConstruction(const std::vector<std::vector<double>>& data,
-                             int64_t num_buckets, std::string* fingerprint) {
-  QueryEngine engine;
-  StreamConfig config;
-  config.window_size = 1024;
-  config.num_buckets = num_buckets;
-  config.epsilon = 0.1;
-  std::vector<StreamBatch> batches;
-  for (size_t s = 0; s < data.size(); ++s) {
-    const std::string name = "s" + std::to_string(s);
-    if (!engine.CreateStream(name, config).ok()) std::abort();
-    batches.push_back(StreamBatch{name, data[s]});
-  }
-  Timer timer;
-  if (!engine.AppendBatches(batches).ok()) std::abort();
-  engine.RefreshAll();
-  const double elapsed = timer.ElapsedSeconds();
-  std::ostringstream os;
-  for (const StreamBatch& batch : batches) {
-    os << engine.Execute("DESCRIBE " + batch.name).value() << '\n'
-       << engine.Execute("SHOW " + batch.name).value() << '\n';
-  }
-  *fingerprint = os.str();
-  return elapsed;
-}
-
 }  // namespace
-
-int RunBenchPr1(int argc, char** argv) {
-  using bench::FlagInt;
-  using bench::FlagStr;
-  const std::string out_path = FlagStr(argc, argv, "pr1_json", "");
-  const int threads = static_cast<int>(
-      FlagInt(argc, argv, "pr1_threads", DefaultThreadCount()));
-  if (threads < 1) {
-    std::fprintf(stderr, "bench_micro: --pr1_threads must be >= 1 (got %d)\n",
-                 threads);
-    return 1;
-  }
-  const int64_t num_streams = FlagInt(argc, argv, "pr1_streams", 8);
-  if (num_streams < 1) {
-    std::fprintf(stderr,
-                 "bench_micro: --pr1_streams must be >= 1 (got %lld)\n",
-                 static_cast<long long>(num_streams));
-    return 1;
-  }
-  const bool smoke = FlagInt(argc, argv, "pr1_smoke", 0) != 0;
-  const bool dp_full = FlagInt(argc, argv, "pr1_dp_full", 0) != 0;
-  const std::vector<int64_t> bucket_grid{32, 128};
-
-  // The engine batch grid is the headline (n = points per stream). The exact
-  // DP is O(n^2 B), so its default grid is capped; --pr1_dp_full=1 runs the
-  // full batch grid through the DP as well (minutes to hours of work).
-  std::vector<int64_t> batch_grid{16384, 65536, 262144};
-  std::vector<int64_t> dp_grid{4096, 8192};
-  if (dp_full) dp_grid = batch_grid;
-  if (smoke) {
-    batch_grid = {2048, 4096};
-    dp_grid = {512, 1024};
-  }
-
-  bench::Banner("BENCH_PR1: serial vs threaded construction (threads=" +
-                std::to_string(threads) + ")");
-  std::vector<Pr1Row> dp_rows;
-  for (const int64_t n : dp_grid) {
-    const std::vector<double> data =
-        GenerateDataset(DatasetKind::kUtilization, n, /*seed=*/7);
-    for (const int64_t num_buckets : bucket_grid) {
-      Pr1Row row;
-      row.n = n;
-      row.num_buckets = num_buckets;
-      std::string serial_fp;
-      std::string threaded_fp;
-      SetThreadCount(1);
-      row.serial_seconds = TimeVOptDp(data, num_buckets, &serial_fp);
-      SetThreadCount(threads);
-      row.threaded_seconds = TimeVOptDp(data, num_buckets, &threaded_fp);
-      row.identical = serial_fp == threaded_fp;
-      dp_rows.push_back(row);
-      std::printf("  vopt_dp n=%lld B=%lld serial=%.3fs threaded=%.3fs %s\n",
-                  static_cast<long long>(n),
-                  static_cast<long long>(num_buckets), row.serial_seconds,
-                  row.threaded_seconds,
-                  row.identical ? "bit-identical" : "MISMATCH");
-    }
-  }
-
-  std::vector<Pr1Row> batch_rows;
-  for (const int64_t n : batch_grid) {
-    std::vector<std::vector<double>> data;
-    for (int64_t s = 0; s < num_streams; ++s) {
-      data.push_back(GenerateDataset(DatasetKind::kUtilization, n,
-                                     /*seed=*/100 + static_cast<uint64_t>(s)));
-    }
-    for (const int64_t num_buckets : bucket_grid) {
-      Pr1Row row;
-      row.n = n;
-      row.num_buckets = num_buckets;
-      row.streams = num_streams;
-      std::string serial_fp;
-      std::string threaded_fp;
-      SetThreadCount(1);
-      row.serial_seconds = TimeBatchConstruction(data, num_buckets, &serial_fp);
-      SetThreadCount(threads);
-      row.threaded_seconds =
-          TimeBatchConstruction(data, num_buckets, &threaded_fp);
-      row.identical = serial_fp == threaded_fp;
-      batch_rows.push_back(row);
-      std::printf(
-          "  batch n=%lld B=%lld streams=%lld serial=%.3fs threaded=%.3fs "
-          "%s\n",
-          static_cast<long long>(n), static_cast<long long>(num_buckets),
-          static_cast<long long>(num_streams), row.serial_seconds,
-          row.threaded_seconds, row.identical ? "bit-identical" : "MISMATCH");
-    }
-  }
-  SetThreadCount(DefaultThreadCount());
-
-  bench::JsonWriter json;
-  json.BeginObject()
-      .Key("bench").Value(std::string("BENCH_PR1"))
-      .Key("schema_version").Value(int64_t{1})
-      .Key("serial_threads").Value(int64_t{1})
-      .Key("threaded_threads").Value(static_cast<int64_t>(threads))
-      .Key("hardware_threads").Value(static_cast<int64_t>(DefaultThreadCount()))
-      .Key("smoke").Value(smoke)
-      .Key("dp_full").Value(dp_full);
-  const auto emit_rows = [&json](const std::string& key,
-                                 const std::vector<Pr1Row>& rows) {
-    json.Key(key).BeginArray();
-    for (const Pr1Row& row : rows) {
-      json.BeginObject()
-          .Key("n").Value(row.n)
-          .Key("B").Value(row.num_buckets);
-      if (row.streams > 0) json.Key("streams").Value(row.streams);
-      json.Key("serial_seconds").Value(row.serial_seconds)
-          .Key("threaded_seconds").Value(row.threaded_seconds)
-          .Key("speedup")
-          .Value(row.threaded_seconds > 0.0
-                     ? row.serial_seconds / row.threaded_seconds
-                     : 0.0)
-          .Key("identical").Value(row.identical)
-          .EndObject();
-    }
-    json.EndArray();
-  };
-  emit_rows("vopt_dp", dp_rows);
-  emit_rows("batch_construction", batch_rows);
-  json.EndObject();
-
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
-    return 1;
-  }
-  out << json.str() << '\n';
-  std::printf("  wrote %s\n", out_path.c_str());
-
-  bool all_identical = true;
-  for (const Pr1Row& row : dp_rows) all_identical &= row.identical;
-  for (const Pr1Row& row : batch_rows) all_identical &= row.identical;
-  return all_identical ? 0 : 2;
-}
-
-// --- PR3: exact vs (1+delta)-approximate V-optimal DP ---
-
-namespace {
-
-struct Pr3Row {
-  int64_t n = 0;
-  int64_t num_buckets = 0;
-  double delta = 0.0;
-  double approx_seconds = 0.0;
-  double approx_sse = 0.0;
-  double dp_error = 0.0;
-  double bound_factor = 1.0;
-  int64_t cost_evals = 0;
-  int64_t max_cover_size = 0;
-  // The exact DP is only timed where O(n^2 B) is feasible on one machine;
-  // rows with exact_measured == false omit the exact/ratio fields.
-  bool exact_measured = false;
-  double exact_seconds = 0.0;
-  double exact_sse = 0.0;
-  double speedup = 0.0;        // exact_seconds / approx_seconds
-  double realized_ratio = 0.0; // approx_sse / exact_sse (1.0 when exact == 0)
-  bool within_bound = true;
-};
-
-// Certified-bound check with the same float slack the property tests use:
-// two independently-accumulated long-double sums compared through doubles.
-bool RatioWithinBound(double approx_sse, double exact_sse, double bound) {
-  return approx_sse <= bound * exact_sse * (1.0 + 1e-9) + 1e-6;
-}
-
-}  // namespace
-
-int RunBenchPr3(int argc, char** argv) {
-  using bench::FlagInt;
-  using bench::FlagStr;
-  const std::string out_path = FlagStr(argc, argv, "pr3_json", "");
-  const int threads = static_cast<int>(
-      FlagInt(argc, argv, "pr3_threads", DefaultThreadCount()));
-  if (threads < 1) {
-    std::fprintf(stderr, "bench_micro: --pr3_threads must be >= 1 (got %d)\n",
-                 threads);
-    return 1;
-  }
-  const bool smoke = FlagInt(argc, argv, "pr3_smoke", 0) != 0;
-
-  // Full grid per EXPERIMENTS.md. The exact DP at n=1e5 B=64 already takes
-  // tens of minutes serial; n=1e6 (and n=1e5 B=256) exact runs are days of
-  // work, so the feasibility policy below skips them and those rows carry
-  // only approximate-side numbers.
-  std::vector<int64_t> n_grid{10000, 100000, 1000000};
-  std::vector<int64_t> bucket_grid{16, 64, 256};
-  std::vector<double> delta_grid{0.5, 0.1, 0.01};
-  if (smoke) {
-    // CI perf-smoke grid: small enough that the exact DP is measured on
-    // every row, and it includes the (n=5e4, B=64, delta=0.1) gate cell.
-    n_grid = {20000, 50000};
-    bucket_grid = {16, 64};
-    delta_grid = {0.5, 0.1};
-  }
-  const auto exact_feasible = [&](int64_t n, int64_t num_buckets) {
-    if (smoke) return true;
-    return n <= 10000 || (n <= 100000 && num_buckets <= 64);
-  };
-
-  bench::Banner("BENCH_PR3: exact vs (1+delta)-approximate V-optimal DP "
-                "(threads=" + std::to_string(threads) + ")");
-  SetThreadCount(threads);
-  std::vector<Pr3Row> rows;
-  bool all_within_bound = true;
-  bool gate_speedup_ok = true;  // smoke gate: approx faster at 5e4/64/0.1
-  for (const int64_t n : n_grid) {
-    const std::vector<double> data =
-        GenerateDataset(DatasetKind::kUtilization, n, /*seed=*/7);
-    for (const int64_t num_buckets : bucket_grid) {
-      // Exact DP once per (n, B); it does not depend on delta.
-      const bool run_exact = exact_feasible(n, num_buckets);
-      double exact_seconds = 0.0;
-      double exact_sse = 0.0;
-      if (run_exact) {
-        Timer timer;
-        exact_sse = OptimalSse(data, num_buckets);
-        exact_seconds = timer.ElapsedSeconds();
-        std::printf("  exact  n=%lld B=%lld sse=%.6g %.3fs\n",
-                    static_cast<long long>(n),
-                    static_cast<long long>(num_buckets), exact_sse,
-                    exact_seconds);
-        std::fflush(stdout);
-      }
-      for (const double delta : delta_grid) {
-        Pr3Row row;
-        row.n = n;
-        row.num_buckets = num_buckets;
-        row.delta = delta;
-        Timer timer;
-        const ApproxHistogramResult approx =
-            BuildApproxVOptimalHistogram(data, num_buckets, delta);
-        row.approx_seconds = timer.ElapsedSeconds();
-        row.approx_sse = approx.sse;
-        row.dp_error = approx.dp_error;
-        row.bound_factor = approx.bound_factor;
-        row.cost_evals = approx.cost_evals;
-        row.max_cover_size = approx.max_cover_size;
-        row.exact_measured = run_exact;
-        if (run_exact) {
-          row.exact_seconds = exact_seconds;
-          row.exact_sse = exact_sse;
-          row.speedup =
-              row.approx_seconds > 0.0 ? exact_seconds / row.approx_seconds
-                                       : 0.0;
-          row.realized_ratio =
-              exact_sse > 0.0 ? approx.sse / exact_sse : 1.0;
-          row.within_bound =
-              RatioWithinBound(approx.sse, exact_sse, row.bound_factor);
-          if (smoke && n == 50000 && num_buckets == 64 && delta == 0.1 &&
-              row.speedup <= 1.0) {
-            gate_speedup_ok = false;
-          }
-        } else {
-          // No exact reference: the internal DP objective still certifies
-          // realized_sse <= dp_error <= bound * OPT.
-          row.within_bound = approx.sse <= row.dp_error * (1.0 + 1e-9) + 1e-9;
-        }
-        all_within_bound &= row.within_bound;
-        rows.push_back(row);
-        if (run_exact) {
-          std::printf("  approx n=%lld B=%lld delta=%.3g %.3fs speedup=%.1fx "
-                      "ratio=%.6f bound=%.3g %s\n",
-                      static_cast<long long>(n),
-                      static_cast<long long>(num_buckets), delta,
-                      row.approx_seconds, row.speedup, row.realized_ratio,
-                      row.bound_factor,
-                      row.within_bound ? "ok" : "BOUND VIOLATED");
-        } else {
-          std::printf("  approx n=%lld B=%lld delta=%.3g %.3fs sse=%.6g "
-                      "(exact skipped) %s\n",
-                      static_cast<long long>(n),
-                      static_cast<long long>(num_buckets), delta,
-                      row.approx_seconds, row.approx_sse,
-                      row.within_bound ? "ok" : "DP INCONSISTENT");
-        }
-        std::fflush(stdout);
-      }
-    }
-  }
-  SetThreadCount(DefaultThreadCount());
-
-  bench::JsonWriter json;
-  json.BeginObject()
-      .Key("bench").Value(std::string("BENCH_PR3"))
-      .Key("schema_version").Value(int64_t{1})
-      .Key("threads").Value(static_cast<int64_t>(threads))
-      .Key("hardware_threads").Value(static_cast<int64_t>(DefaultThreadCount()))
-      .Key("smoke").Value(smoke)
-      .Key("dataset").Value(std::string("utilization"))
-      .Key("exact_policy")
-      .Value(std::string(
-          smoke ? "smoke grid: exact DP measured on every row"
-                : "exact DP measured only at n<=1e4 (all B) and n=1e5 "
-                  "(B<=64); larger cells are infeasible at O(n^2 B)"))
-      .Key("rows").BeginArray();
-  for (const Pr3Row& row : rows) {
-    json.BeginObject()
-        .Key("n").Value(row.n)
-        .Key("B").Value(row.num_buckets)
-        .Key("delta").Value(row.delta)
-        .Key("approx_seconds").Value(row.approx_seconds)
-        .Key("approx_sse").Value(row.approx_sse)
-        .Key("dp_error").Value(row.dp_error)
-        .Key("bound_factor").Value(row.bound_factor)
-        .Key("cost_evals").Value(row.cost_evals)
-        .Key("max_cover_size").Value(row.max_cover_size)
-        .Key("exact_measured").Value(row.exact_measured);
-    if (row.exact_measured) {
-      json.Key("exact_seconds").Value(row.exact_seconds)
-          .Key("exact_sse").Value(row.exact_sse)
-          .Key("speedup").Value(row.speedup)
-          .Key("realized_ratio").Value(row.realized_ratio);
-    }
-    json.Key("within_bound").Value(row.within_bound).EndObject();
-  }
-  json.EndArray().EndObject();
-
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
-    return 1;
-  }
-  out << json.str() << '\n';
-  std::printf("  wrote %s\n", out_path.c_str());
-
-  if (!all_within_bound) return 2;
-  if (!gate_speedup_ok) {
-    std::fprintf(stderr,
-                 "bench_micro: approx DP not faster than exact at the "
-                 "n=50000 B=64 delta=0.1 smoke gate\n");
-    return 3;
-  }
-  return 0;
-}
-
-// --- PR4: degradation-ladder latency, rung distribution, governor overhead ---
-
-namespace {
-
-double PercentileMs(std::vector<double> ms, double p) {
-  if (ms.empty()) return 0.0;
-  std::sort(ms.begin(), ms.end());
-  const size_t idx = static_cast<size_t>(
-      p * static_cast<double>(ms.size() - 1) + 0.5);
-  return ms[std::min(idx, ms.size() - 1)];
-}
-
-struct Pr4Cell {
-  WindowBuildMode mode = WindowBuildMode::kExact;
-  int64_t n = 0;
-  int64_t num_buckets = 0;
-  double delta = 0.0;  // kApprox only
-};
-
-std::string RungLabel(const WindowBuildReport& report) {
-  if (report.rung == BuildRung::kApprox) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "approx(%g)", report.delta);
-    return buf;
-  }
-  return BuildRungName(report.rung);
-}
-
-}  // namespace
-
-int RunBenchPr4(int argc, char** argv) {
-  using bench::FlagInt;
-  using bench::FlagStr;
-  const std::string out_path = FlagStr(argc, argv, "pr4_json", "");
-  const int threads = static_cast<int>(
-      FlagInt(argc, argv, "pr4_threads", DefaultThreadCount()));
-  if (threads < 1) {
-    std::fprintf(stderr, "bench_micro: --pr4_threads must be >= 1 (got %d)\n",
-                 threads);
-    return 1;
-  }
-  const bool smoke = FlagInt(argc, argv, "pr4_smoke", 0) != 0;
-
-  // Exact cells keep n where O(n^2 B) is interactive; approx cells stretch n
-  // to sizes only the pruned DP reaches. The largest exact cell doubles as
-  // the overhead gate: ladder-vs-direct on the no-deadline path. Debug/ASan
-  // CI runs the smoke grid with a looser gate (sanitizer timing is noisy).
-  std::vector<Pr4Cell> cells;
-  if (smoke) {
-    cells = {{WindowBuildMode::kExact, 512, 8, 0.0},
-             {WindowBuildMode::kExact, 1024, 8, 0.0},
-             {WindowBuildMode::kApprox, 4096, 16, 0.1}};
-  } else {
-    cells = {{WindowBuildMode::kExact, 2048, 8, 0.0},
-             {WindowBuildMode::kExact, 2048, 32, 0.0},
-             {WindowBuildMode::kExact, 8192, 8, 0.0},
-             {WindowBuildMode::kExact, 8192, 32, 0.0},
-             {WindowBuildMode::kApprox, 16384, 32, 0.1},
-             {WindowBuildMode::kApprox, 65536, 32, 0.1}};
-  }
-  const int reps = smoke ? 5 : 9;
-  const int deadline_reps = smoke ? 4 : 12;
-  const std::vector<int64_t> within_grid{1, 5, 50};
-  const double overhead_limit = smoke ? 0.15 : 0.02;
-
-  bench::Banner("BENCH_PR4: degradation ladder + governor (threads=" +
-                std::to_string(threads) + ")");
-  SetThreadCount(threads);
-
-  bench::JsonWriter json;
-  json.BeginObject()
-      .Key("bench").Value(std::string("BENCH_PR4"))
-      .Key("schema_version").Value(int64_t{1})
-      .Key("threads").Value(static_cast<int64_t>(threads))
-      .Key("hardware_threads").Value(static_cast<int64_t>(DefaultThreadCount()))
-      .Key("smoke").Value(smoke)
-      .Key("reps").Value(static_cast<int64_t>(reps))
-      .Key("deadline_reps").Value(static_cast<int64_t>(deadline_reps))
-      .Key("overhead_limit").Value(overhead_limit)
-      .Key("dataset").Value(std::string("utilization"))
-      .Key("cells").BeginArray();
-
-  bool all_identical = true;
-  bool all_certified = true;
-  double gate_overhead = 0.0;  // overhead of the last exact cell (largest)
-  for (const Pr4Cell& cell : cells) {
-    const bool exact = cell.mode == WindowBuildMode::kExact;
-    const std::vector<double> data = GenerateDataset(
-        DatasetKind::kUtilization, cell.n, /*seed=*/7);
-    StreamConfig config;
-    config.window_size = cell.n;
-    config.num_buckets = cell.num_buckets;
-    config.epsilon = 0.1;
-    config.build_mode = cell.mode;
-    if (!exact) config.build_delta = cell.delta;
-    ManagedStream stream = ManagedStream::Create(config).value();
-    stream.AppendBatch(data);
-
-    // Interleave direct-kernel and ladder builds so clock drift hits both
-    // sides equally; compare results bit-for-bit (no deadline => rung 0 must
-    // be byte-identical to calling the kernel directly).
-    std::vector<double> direct_ms, ladder_ms;
-    bool identical = true;
-    for (int rep = 0; rep < reps; ++rep) {
-      Timer direct_timer;
-      uint64_t direct_bits = 0;
-      if (exact) {
-        const OptimalHistogramResult r =
-            BuildVOptimalHistogram(data, cell.num_buckets);
-        direct_bits = std::bit_cast<uint64_t>(r.error);
-      } else {
-        const ApproxHistogramResult r =
-            BuildApproxVOptimalHistogram(data, cell.num_buckets, cell.delta);
-        direct_bits = std::bit_cast<uint64_t>(r.sse);
-      }
-      direct_ms.push_back(direct_timer.ElapsedSeconds() * 1e3);
-
-      Timer ladder_timer;
-      const WindowBuildReport report = stream.BuildWindowHistogram();
-      ladder_ms.push_back(ladder_timer.ElapsedSeconds() * 1e3);
-      identical &= !report.degradation.degraded &&
-                   std::bit_cast<uint64_t>(report.sse) == direct_bits;
-    }
-    const double direct_p50 = PercentileMs(direct_ms, 0.5);
-    const double ladder_p50 = PercentileMs(ladder_ms, 0.5);
-    const double overhead =
-        direct_p50 > 0.0 ? ladder_p50 / direct_p50 - 1.0 : 0.0;
-    if (exact) gate_overhead = overhead;
-    all_identical &= identical;
-    std::printf("  %s n=%lld B=%lld direct_p50=%.3fms ladder_p50=%.3fms "
-                "overhead=%+.2f%% %s\n",
-                exact ? "exact " : "approx", static_cast<long long>(cell.n),
-                static_cast<long long>(cell.num_buckets), direct_p50,
-                ladder_p50, overhead * 100.0,
-                identical ? "bit-identical" : "MISMATCH");
-    std::fflush(stdout);
-
-    json.BeginObject()
-        .Key("mode").Value(std::string(exact ? "exact" : "approx"));
-    if (!exact) json.Key("delta").Value(cell.delta);
-    json.Key("n").Value(cell.n)
-        .Key("B").Value(cell.num_buckets)
-        .Key("direct_p50_ms").Value(direct_p50)
-        .Key("direct_p99_ms").Value(PercentileMs(direct_ms, 0.99))
-        .Key("ladder_p50_ms").Value(ladder_p50)
-        .Key("ladder_p99_ms").Value(PercentileMs(ladder_ms, 0.99))
-        .Key("overhead_ratio").Value(overhead)
-        .Key("identical").Value(identical)
-        .Key("deadlines").BeginArray();
-
-    // Rung distribution under real wall-clock deadlines. Every build must
-    // terminate with a histogram and a certified bound no matter which rung
-    // the deadline leaves standing.
-    for (const int64_t within : within_grid) {
-      std::vector<std::pair<std::string, int64_t>> rungs;
-      std::vector<double> build_ms;
-      int64_t degraded = 0;
-      for (int rep = 0; rep < deadline_reps; ++rep) {
-        Timer timer;
-        const WindowBuildReport report =
-            stream.BuildWindowHistogram(Deadline::AfterMillis(within));
-        build_ms.push_back(timer.ElapsedSeconds() * 1e3);
-        degraded += report.degradation.degraded ? 1 : 0;
-        all_certified &= report.bound_factor >= 1.0 &&
-                         !report.degradation.attempts.empty() &&
-                         report.degradation.attempts.back().completed &&
-                         (report.points == 0 ||
-                          !report.histogram.buckets().empty());
-        const std::string label = RungLabel(report);
-        bool found = false;
-        for (auto& [name, count] : rungs) {
-          if (name == label) { count++; found = true; break; }
-        }
-        if (!found) rungs.emplace_back(label, 1);
-      }
-      json.BeginObject()
-          .Key("within_ms").Value(within)
-          .Key("build_p50_ms").Value(PercentileMs(build_ms, 0.5))
-          .Key("build_p99_ms").Value(PercentileMs(build_ms, 0.99))
-          .Key("degraded_builds").Value(degraded)
-          .Key("rungs").BeginObject();
-      std::printf("    within=%lldms p50=%.3fms rungs:",
-                  static_cast<long long>(within),
-                  PercentileMs(build_ms, 0.5));
-      for (const auto& [name, count] : rungs) {
-        json.Key(name).Value(count);
-        std::printf(" %s=%lld", name.c_str(),
-                    static_cast<long long>(count));
-      }
-      std::printf("\n");
-      std::fflush(stdout);
-      json.EndObject().EndObject();
-    }
-    json.EndArray().EndObject();
-  }
-  SetThreadCount(DefaultThreadCount());
-
-  const bool gate_ok = gate_overhead <= overhead_limit;
-  json.EndArray()
-      .Key("gate").BeginObject()
-      .Key("cell").Value(std::string("largest exact cell"))
-      .Key("overhead_ratio").Value(gate_overhead)
-      .Key("limit").Value(overhead_limit)
-      .Key("ok").Value(gate_ok)
-      .EndObject().EndObject();
-
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
-    return 1;
-  }
-  out << json.str() << '\n';
-  std::printf("  wrote %s\n", out_path.c_str());
-
-  if (!all_identical || !all_certified) {
-    std::fprintf(stderr, "bench_micro: %s\n",
-                 !all_identical
-                     ? "no-deadline ladder output diverged from direct kernel"
-                     : "a degraded build lacked a certified result");
-    return 2;
-  }
-  if (!gate_ok) {
-    std::fprintf(stderr,
-                 "bench_micro: ladder overhead %.2f%% exceeds the %.0f%% "
-                 "no-deadline gate\n",
-                 gate_overhead * 100.0, overhead_limit * 100.0);
-    return 4;
-  }
-  return 0;
-}
-
-// --- PR5: concurrent read throughput + single-thread Execute overhead ---
-
-namespace {
-
-/// The PR4-era engine hot path, reproduced locally as the overhead
-/// baseline: a plain std::map registry and a direct window-synopsis query,
-/// with the same tokenizer and answer formatting the real engine uses. What
-/// the baseline does NOT have is exactly what PR5 added to the path —
-/// sharded registry lookup, handle ref-counting, snapshot acquisition, and
-/// per-verb stats — so engine/baseline is the cost of the concurrent core.
-class Pr4BaselineEngine {
- public:
-  void Create(const std::string& name, ManagedStream stream) {
-    streams_.emplace(name, std::move(stream));
-  }
-
-  /// Executes `SUM <stream> <lo> <hi>` exactly as PR4's Execute did:
-  /// istringstream tokenizer, uppercased verb, std::map lookup, from_chars
-  /// range parse with bounds validation, lazy window-synopsis query,
-  /// precision-12 ostringstream formatting.
-  std::string ExecuteSum(const std::string& statement) {
-    std::vector<std::string> tokens;
-    {
-      std::istringstream in(statement);
-      std::string token;
-      while (in >> token) tokens.push_back(token);
-    }
-    std::string verb = tokens[0];
-    std::transform(verb.begin(), verb.end(), verb.begin(),
-                   [](unsigned char c) { return std::toupper(c); });
-    if (verb != "SUM" || tokens.size() != 4) return {};
-    const auto it = streams_.find(tokens[1]);
-    if (it == streams_.end()) return {};
-    int64_t lo = 0, hi = 0;
-    std::from_chars(tokens[2].data(), tokens[2].data() + tokens[2].size(), lo);
-    std::from_chars(tokens[3].data(), tokens[3].data() + tokens[3].size(), hi);
-    if (!(0 <= lo && lo <= hi && hi <= it->second.config().window_size)) {
-      return {};
-    }
-    const double sum = it->second.window_histogram().RangeSum(lo, hi);
-    std::ostringstream os;
-    os.precision(12);
-    os << sum;
-    return os.str();
-  }
-
- private:
-  std::map<std::string, ManagedStream> streams_;
-};
-
-struct Pr5Throughput {
-  int readers = 0;
-  double reads_per_sec = 0.0;
-  double writer_appends_per_sec = 0.0;
-};
-
-/// `readers` threads executing SUM statements against one shared engine for
-/// `duration_ms`, with one writer thread feeding APPENDs the whole time.
-Pr5Throughput MeasureReadThroughput(QueryEngine& engine, int readers,
-                                    int duration_ms) {
-  std::atomic<bool> start{false};
-  std::atomic<bool> stop{false};
-  std::atomic<int64_t> reads{0};
-  std::atomic<int64_t> appends{0};
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(readers) + 1);
-  threads.emplace_back([&engine, &start, &stop, &appends] {  // writer
-    while (!start.load(std::memory_order_acquire)) {}
-    int64_t local = 0;
-    while (!stop.load(std::memory_order_relaxed)) {
-      if (engine.Execute("APPEND s 3.25").ok()) ++local;
-    }
-    appends.fetch_add(local, std::memory_order_relaxed);
-  });
-  for (int t = 0; t < readers; ++t) {
-    threads.emplace_back([&engine, &start, &stop, &reads] {
-      while (!start.load(std::memory_order_acquire)) {}
-      int64_t local = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
-        if (engine.Execute("SUM s 0 512").ok()) ++local;
-      }
-      reads.fetch_add(local, std::memory_order_relaxed);
-    });
-  }
-
-  Timer timer;
-  start.store(true, std::memory_order_release);
-  std::this_thread::sleep_for(std::chrono::milliseconds(duration_ms));
-  stop.store(true, std::memory_order_relaxed);
-  for (std::thread& t : threads) t.join();
-  const double seconds = timer.ElapsedSeconds();
-
-  Pr5Throughput result;
-  result.readers = readers;
-  result.reads_per_sec = static_cast<double>(reads.load()) / seconds;
-  result.writer_appends_per_sec =
-      static_cast<double>(appends.load()) / seconds;
-  return result;
-}
-
-}  // namespace
-
-int RunBenchPr5(int argc, char** argv) {
-  using bench::FlagInt;
-  using bench::FlagStr;
-  const std::string out_path = FlagStr(argc, argv, "pr5_json", "");
-  const bool smoke = FlagInt(argc, argv, "pr5_smoke", 0) != 0;
-  const int hardware_threads =
-      static_cast<int>(std::thread::hardware_concurrency());
-
-  const int duration_ms = smoke ? 150 : 500;
-  const int overhead_reps = smoke ? 7 : 15;
-  const int statements_per_rep = smoke ? 200 : 1000;
-  // Sanitizer/Debug smoke timing is noisy; the committed artifact uses the
-  // tight limits.
-  const double overhead_limit = smoke ? 0.25 : 0.03;
-  const double scaling_limit = 2.0;
-
-  bench::Banner("BENCH_PR5: concurrent engine core (hardware_threads=" +
-                std::to_string(hardware_threads) + ")");
-
-  constexpr int64_t kWindow = 1024;
-  const std::vector<double> data =
-      GenerateDataset(DatasetKind::kUtilization, 4096, /*seed=*/13);
-  StreamConfig config;
-  config.window_size = kWindow;
-  config.num_buckets = 16;
-  config.epsilon = 0.1;
-
-  // Read throughput at 1/2/4/8 readers with one concurrent writer.
-  QueryEngine engine;
-  if (!engine.CreateStream("s", config).ok()) return 1;
-  if (!engine.AppendBatch("s", data).ok()) return 1;
-  std::vector<Pr5Throughput> scaling;
-  for (const int readers : {1, 2, 4, 8}) {
-    scaling.push_back(MeasureReadThroughput(engine, readers, duration_ms));
-    const Pr5Throughput& row = scaling.back();
-    std::printf("  readers=%d reads/s=%.0f (x%.2f vs 1) writer appends/s=%.0f\n",
-                row.readers, row.reads_per_sec,
-                row.reads_per_sec / scaling.front().reads_per_sec,
-                row.writer_appends_per_sec);
-    std::fflush(stdout);
-  }
-  const double speedup_4 = scaling[2].reads_per_sec / scaling[0].reads_per_sec;
-
-  // Single-thread Execute overhead vs the PR4-equivalent baseline,
-  // interleaved so clock drift hits both sides equally.
-  QueryEngine fresh;
-  if (!fresh.CreateStream("s", config).ok()) return 1;
-  if (!fresh.AppendBatch("s", data).ok()) return 1;
-  Pr4BaselineEngine baseline;
-  {
-    ManagedStream stream = ManagedStream::Create(config).value();
-    stream.AppendBatch(data);
-    stream.Refresh();
-    baseline.Create("s", std::move(stream));
-  }
-  const std::string statement = "SUM s 0 512";
-  // Answers must agree bit-for-bit or the comparison is meaningless.
-  if (fresh.Execute(statement).value() != baseline.ExecuteSum(statement)) {
-    std::fprintf(stderr, "bench_micro: engine and baseline answers differ\n");
-    return 1;
-  }
-  std::vector<double> baseline_us, engine_us;
-  for (int rep = 0; rep < overhead_reps; ++rep) {
-    Timer baseline_timer;
-    for (int i = 0; i < statements_per_rep; ++i) {
-      benchmark::DoNotOptimize(baseline.ExecuteSum(statement));
-    }
-    baseline_us.push_back(baseline_timer.ElapsedSeconds() * 1e6 /
-                          statements_per_rep);
-    Timer engine_timer;
-    for (int i = 0; i < statements_per_rep; ++i) {
-      benchmark::DoNotOptimize(fresh.Execute(statement));
-    }
-    engine_us.push_back(engine_timer.ElapsedSeconds() * 1e6 /
-                        statements_per_rep);
-  }
-  const double baseline_p50 = PercentileMs(baseline_us, 0.5);
-  const double engine_p50 = PercentileMs(engine_us, 0.5);
-  const double overhead =
-      baseline_p50 > 0.0 ? engine_p50 / baseline_p50 - 1.0 : 0.0;
-  std::printf("  single-thread: baseline_p50=%.3fus engine_p50=%.3fus "
-              "overhead=%+.2f%%\n",
-              baseline_p50, engine_p50, overhead * 100.0);
-  std::fflush(stdout);
-
-  // Gate A evaluates only where 4 readers can actually run in parallel; a
-  // 1-core runner records its scaling rows but skips the verdict honestly.
-  const bool scaling_evaluated = hardware_threads >= 4;
-  const bool scaling_ok = !scaling_evaluated || speedup_4 >= scaling_limit;
-  const bool overhead_ok = overhead <= overhead_limit;
-
-  bench::JsonWriter json;
-  json.BeginObject()
-      .Key("bench").Value(std::string("BENCH_PR5"))
-      .Key("schema_version").Value(int64_t{1})
-      .Key("hardware_threads").Value(static_cast<int64_t>(hardware_threads))
-      .Key("smoke").Value(smoke)
-      .Key("duration_ms").Value(static_cast<int64_t>(duration_ms))
-      .Key("window").Value(kWindow)
-      .Key("buckets").Value(config.num_buckets)
-      .Key("statement").Value(statement)
-      .Key("read_throughput").BeginArray();
-  for (const Pr5Throughput& row : scaling) {
-    json.BeginObject()
-        .Key("readers").Value(static_cast<int64_t>(row.readers))
-        .Key("reads_per_sec").Value(row.reads_per_sec)
-        .Key("speedup_vs_1")
-        .Value(row.reads_per_sec / scaling.front().reads_per_sec)
-        .Key("writer_appends_per_sec").Value(row.writer_appends_per_sec)
-        .EndObject();
-  }
-  json.EndArray()
-      .Key("single_thread").BeginObject()
-      .Key("reps").Value(static_cast<int64_t>(overhead_reps))
-      .Key("statements_per_rep")
-      .Value(static_cast<int64_t>(statements_per_rep))
-      .Key("baseline_p50_us").Value(baseline_p50)
-      .Key("engine_p50_us").Value(engine_p50)
-      .Key("overhead_ratio").Value(overhead)
-      .EndObject()
-      .Key("gates").BeginObject()
-      .Key("scaling").BeginObject()
-      .Key("limit").Value(scaling_limit)
-      .Key("speedup_4").Value(speedup_4)
-      .Key("evaluated").Value(scaling_evaluated)
-      .Key("ok").Value(scaling_ok)
-      .EndObject()
-      .Key("overhead").BeginObject()
-      .Key("limit").Value(overhead_limit)
-      .Key("overhead_ratio").Value(overhead)
-      .Key("ok").Value(overhead_ok)
-      .EndObject()
-      .EndObject().EndObject();
-
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
-    return 1;
-  }
-  out << json.str() << '\n';
-  std::printf("  wrote %s\n", out_path.c_str());
-
-  if (!scaling_ok) {
-    std::fprintf(stderr,
-                 "bench_micro: 4-reader speedup %.2fx below the %.1fx gate\n",
-                 speedup_4, scaling_limit);
-    return 2;
-  }
-  if (!overhead_ok) {
-    std::fprintf(stderr,
-                 "bench_micro: single-thread overhead %.2f%% exceeds the "
-                 "%.0f%% gate\n",
-                 overhead * 100.0, overhead_limit * 100.0);
-    return 3;
-  }
-  return 0;
-}
-
 }  // namespace streamhist
 
 int main(int argc, char** argv) {
-  if (!streamhist::bench::FlagStr(argc, argv, "pr1_json", "").empty()) {
-    return streamhist::RunBenchPr1(argc, argv);
-  }
-  if (!streamhist::bench::FlagStr(argc, argv, "pr3_json", "").empty()) {
-    return streamhist::RunBenchPr3(argc, argv);
-  }
-  if (!streamhist::bench::FlagStr(argc, argv, "pr4_json", "").empty()) {
-    return streamhist::RunBenchPr4(argc, argv);
-  }
-  if (!streamhist::bench::FlagStr(argc, argv, "pr5_json", "").empty()) {
-    return streamhist::RunBenchPr5(argc, argv);
-  }
   ::benchmark::Initialize(&argc, argv);
   if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   ::benchmark::RunSpecifiedBenchmarks();

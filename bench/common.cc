@@ -91,114 +91,4 @@ double FlagDouble(int argc, char** argv, const std::string& key,
   return v != nullptr ? std::atof(v) : fallback;
 }
 
-std::string FlagStr(int argc, char** argv, const std::string& key,
-                    const std::string& fallback) {
-  const char* v = FindFlag(argc, argv, key);
-  return v != nullptr ? std::string(v) : fallback;
-}
-
-JsonWriter& JsonWriter::BeginObject() {
-  BeforeValue();
-  out_.push_back('{');
-  has_elements_.push_back(false);
-  return *this;
-}
-
-JsonWriter& JsonWriter::EndObject() {
-  out_.push_back('}');
-  has_elements_.pop_back();
-  return *this;
-}
-
-JsonWriter& JsonWriter::BeginArray() {
-  BeforeValue();
-  out_.push_back('[');
-  has_elements_.push_back(false);
-  return *this;
-}
-
-JsonWriter& JsonWriter::EndArray() {
-  out_.push_back(']');
-  has_elements_.pop_back();
-  return *this;
-}
-
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-JsonWriter& JsonWriter::Key(const std::string& key) {
-  BeforeValue();
-  out_.push_back('"');
-  out_ += JsonEscape(key);
-  out_ += "\":";
-  pending_key_ = true;
-  return *this;
-}
-
-JsonWriter& JsonWriter::Value(double v) {
-  BeforeValue();
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out_ += buf;
-  return *this;
-}
-
-JsonWriter& JsonWriter::Value(int64_t v) {
-  BeforeValue();
-  out_ += std::to_string(v);
-  return *this;
-}
-
-JsonWriter& JsonWriter::Value(const std::string& v) {
-  BeforeValue();
-  out_.push_back('"');
-  out_ += JsonEscape(v);
-  out_.push_back('"');
-  return *this;
-}
-
-JsonWriter& JsonWriter::Value(bool v) {
-  BeforeValue();
-  out_ += v ? "true" : "false";
-  return *this;
-}
-
-std::string JsonWriter::str() const { return out_; }
-
-void JsonWriter::BeforeValue() {
-  if (pending_key_) {  // the value completing a "key": pair
-    pending_key_ = false;
-    return;
-  }
-  if (!has_elements_.empty()) {
-    if (has_elements_.back()) out_.push_back(',');
-    has_elements_.back() = true;
-  }
-}
-
 }  // namespace streamhist::bench

@@ -37,42 +37,6 @@ int64_t FlagInt(int argc, char** argv, const std::string& key,
                 int64_t fallback);
 double FlagDouble(int argc, char** argv, const std::string& key,
                   double fallback);
-std::string FlagStr(int argc, char** argv, const std::string& key,
-                    const std::string& fallback);
-
-/// Minimal append-only JSON emitter for machine-readable bench artifacts
-/// (BENCH_*.json). Usage mirrors the document structure:
-///
-///   JsonWriter w;
-///   w.BeginObject().Key("n").Value(int64_t{16384}).Key("rows").BeginArray();
-///   ... w.EndArray().EndObject();
-///   write w.str() to disk.
-///
-/// Numbers are emitted with enough digits to round-trip; strings are escaped.
-class JsonWriter {
- public:
-  JsonWriter& BeginObject();
-  JsonWriter& EndObject();
-  JsonWriter& BeginArray();
-  JsonWriter& EndArray();
-  JsonWriter& Key(const std::string& key);
-  JsonWriter& Value(double v);
-  JsonWriter& Value(int64_t v);
-  JsonWriter& Value(const std::string& v);
-  JsonWriter& Value(bool v);
-
-  /// The document so far; valid JSON once every Begin* has been closed.
-  std::string str() const;
-
- private:
-  void BeforeValue();
-
-  std::string out_;
-  // One entry per open container: true once the container has at least one
-  // element (so the next element is comma-separated).
-  std::vector<bool> has_elements_;
-  bool pending_key_ = false;
-};
 
 }  // namespace streamhist::bench
 

@@ -18,16 +18,51 @@ TOOL="${1:?usage: wal_chaos.sh <path-to-streamhist_tool> [cycles]}"
 CYCLES="${2:-25}"
 CLIENT="$(dirname "$0")/wal_chaos_client.py"
 WORK=$(mktemp -d)
-trap 'kill -9 "$SERVER" 2>/dev/null; rm -rf "$WORK"' EXIT
+# The client goes down with the server: a live client would still be
+# writing its state file into $WORK while it is removed.
+trap 'kill -9 "$SERVER" "$CLIENT_PID" 2>/dev/null; rm -rf "$WORK"' EXIT
 WAL_DIR="$WORK/wal"
 STATE="$WORK/state.json"
 LOG="$WORK/serve.log"
 SERVER=""
+CLIENT_PID=""
 
 fail() {
   echo "FAIL: $1"
   [ -f "$LOG" ] && cat "$LOG"
   exit 1
+}
+
+# Called when the client misses its recovery-check window: says whether the
+# client is still alive and what the server answers on a fresh connection
+# (WAL status and STATS, 2 s timeout), so a stuck client can be told from a
+# stuck server. fail() then prints the server log.
+diagnose_recovery_check() {
+  if kill -0 "$CLIENT_PID" 2>/dev/null; then
+    echo "client pid $CLIENT_PID is still running"
+  else
+    echo "client pid $CLIENT_PID has exited"
+  fi
+  echo "server reply to WAL + STATS on a fresh connection:"
+  python3 - "$PORT" <<'PROBE'
+import socket
+import sys
+
+data = b""
+try:
+    sock = socket.create_connection(("127.0.0.1", int(sys.argv[1])), timeout=2)
+    sock.sendall(b"WAL\nSTATS\n")
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            break
+        data += chunk
+except socket.timeout:
+    pass  # the server keeps the connection open: 2 s of silence ends it
+except OSError as err:
+    print(f"probe failed: {err}")
+print(data.decode(errors="replace").rstrip() or "no reply")
+PROBE
 }
 
 # Starts the server on an ephemeral port and waits for the machine-readable
@@ -86,6 +121,7 @@ for CYCLE in $(seq 1 "$CYCLES"); do
   done
   grep -q 'recovered ok' "$WORK/client.log" || {
     cat "$WORK/client.log"
+    diagnose_recovery_check
     fail "cycle $CYCLE: client never completed its recovery check"
   }
   sleep "$(awk -v r="$RANDOM" 'BEGIN { printf "%.2f", 0.05 + (r % 100) / 400 }')"
@@ -93,6 +129,7 @@ for CYCLE in $(seq 1 "$CYCLES"); do
   wait "$SERVER" 2>/dev/null
   wait "$CLIENT_PID"
   CLIENT_STATUS=$?
+  CLIENT_PID=""
   cat "$WORK/client.log"
   [ "$CLIENT_STATUS" -eq 0 ] || fail "cycle $CYCLE: client invariant violated"
 done

@@ -115,9 +115,12 @@ def main():
             f"acked={state['acked']} count={count} sent={state['sent']}"
         )
         return 1
+    # Flushed: the harness waits for this line while the client keeps
+    # running, and a block-buffered stdout would hold it back.
     print(
         f"wal_chaos_client: cycle {state['cycles']} recovered ok: "
-        f"acked={state['acked']} <= count={count} <= sent={state['sent']}"
+        f"acked={state['acked']} <= count={count} <= sent={state['sent']}",
+        flush=True,
     )
     save_state(state_path, state)
 

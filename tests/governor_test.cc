@@ -325,6 +325,28 @@ TEST_F(GovernorTest, NoDeadlineBuildMatchesFirstRungExactly) {
   EXPECT_EQ(report.histogram.ToString(), plain.histogram.ToString());
 }
 
+// Real wall-clock deadlines, no fault injection: whichever rung a deadline
+// leaves standing, the build ends with a completed attempt, a certified
+// bound and real buckets. The window is large enough that the exact DP
+// cannot finish inside the tightest budget, so the ladder is exercised.
+TEST_F(GovernorTest, RealDeadlinesAlwaysEndCertified) {
+  constexpr int64_t kWindow = 2048;
+  ManagedStream stream = MakeLadderStream(kWindow, 8);
+  for (const int64_t within_ms : {1, 5, 50}) {
+    SCOPED_TRACE("within " + std::to_string(within_ms) + " ms");
+    const WindowBuildReport report =
+        stream.BuildWindowHistogram(Deadline::AfterMillis(within_ms));
+    EXPECT_GE(report.bound_factor, 1.0);
+    ASSERT_FALSE(report.degradation.attempts.empty());
+    EXPECT_TRUE(report.degradation.attempts.back().completed);
+    EXPECT_EQ(report.points, kWindow);
+    EXPECT_FALSE(report.histogram.buckets().empty());
+    if (within_ms == 1) {
+      EXPECT_TRUE(report.degradation.degraded);
+    }
+  }
+}
+
 TEST_F(GovernorTest, SingleExpiryDegradesExactToTightestApprox) {
   ManagedStream stream = MakeLadderStream(512, 8);
   fault::Arm("deadline.expire", 1);  // only the exact rung sees expiry

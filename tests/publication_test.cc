@@ -6,6 +6,8 @@
 // snapshot's copy-on-write guarantees: unchanged sections are shared between
 // consecutive publishes, and the publication telemetry lands in STATS.
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -78,6 +80,107 @@ TEST(PublicationTest, AckedValuesVisibleWithinStalenessBound) {
           << ", acked " << acked << ", visible "
           << handle.snapshot()->total_points << ")";
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Concurrent writers under all three publication shapes, with live readers.
+// A reader must never see a torn snapshot: counters from one publish and a
+// window from another, part of a batch, or a stream going backwards. After
+// FLUSH every acked value is visible. The publish counters are the mechanism
+// that makes batched ingest cheap: one publish per batch at bound 0, and
+// skipped publishes under a positive bound.
+TEST(PublicationTest, ConcurrentWritersAckedValuesVisibleAfterFlush) {
+  constexpr int kWriters = 4;
+  constexpr int kReaders = 2;
+  constexpr int64_t kWindow = 64;
+  struct Mode {
+    const char* label;
+    int64_t per_writer;
+    int64_t batch;  // 1: one APPEND per value
+    int64_t staleness_ms;
+  };
+  const Mode modes[] = {{"per-append", 1024, 1, 0},
+                        {"per-batch", 8192, 64, 0},
+                        {"coalesced", 8192, 64, 5}};
+  for (const Mode& mode : modes) {
+    SCOPED_TRACE(mode.label);
+    QueryEngine engine;
+    StreamConfig config = SmallConfig(kWindow);
+    config.publish_staleness_ms = mode.staleness_ms;
+    std::vector<StreamHandle> handles;
+    std::vector<int64_t> publishes_at_create;
+    for (int w = 0; w < kWriters; ++w) {
+      const std::string name = "w" + std::to_string(w);
+      ASSERT_TRUE(engine.CreateStream(name, config).ok());
+      handles.push_back(engine.Stream(name).value());
+      publishes_at_create.push_back(
+          handles.back().stream().publish_stats().Read().publishes);
+    }
+
+    std::atomic<bool> stop{false};
+    std::atomic<int64_t> torn{0};
+    std::vector<std::thread> readers;
+    for (int r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&] {
+        std::vector<int64_t> last_seen(kWriters, 0);
+        while (!stop.load(std::memory_order_relaxed)) {
+          for (int w = 0; w < kWriters; ++w) {
+            const std::shared_ptr<const QuerySnapshot> snap =
+                handles[static_cast<size_t>(w)].snapshot();
+            const int64_t points = snap->total_points;
+            const bool coherent =
+                points >= last_seen[static_cast<size_t>(w)] &&
+                points <= mode.per_writer && points % mode.batch == 0 &&
+                snap->window_size == std::min(points, kWindow) &&
+                snap->histogram().domain_size() == snap->window_size &&
+                (points == 0 ||
+                 snap->histogram().RangeSum(0, snap->window_size) >= 0.0);
+            if (!coherent) torn.fetch_add(1, std::memory_order_relaxed);
+            last_seen[static_cast<size_t>(w)] = points;
+          }
+          std::this_thread::yield();
+        }
+      });
+    }
+
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w) {
+      writers.emplace_back([&, w] {
+        const std::string name = "w" + std::to_string(w);
+        std::vector<double> batch(static_cast<size_t>(mode.batch));
+        for (int64_t i = 0; i < mode.per_writer; i += mode.batch) {
+          for (int64_t j = 0; j < mode.batch; ++j) {
+            batch[static_cast<size_t>(j)] = 0.5 * static_cast<double>(i + j);
+          }
+          const Status appended = mode.batch == 1
+                                      ? engine.Append(name, batch[0])
+                                      : engine.AppendBatch(name, batch);
+          ASSERT_TRUE(appended.ok()) << appended;
+        }
+      });
+    }
+    for (std::thread& writer : writers) writer.join();
+    stop.store(true, std::memory_order_relaxed);
+    for (std::thread& reader : readers) reader.join();
+    EXPECT_EQ(torn.load(), 0);
+
+    ASSERT_TRUE(engine.Execute("FLUSH").ok());
+    int64_t skipped = 0;
+    for (int w = 0; w < kWriters; ++w) {
+      const StreamHandle& handle = handles[static_cast<size_t>(w)];
+      EXPECT_EQ(handle.snapshot()->total_points, mode.per_writer) << w;
+      const PublishCounters counters = handle.stream().publish_stats().Read();
+      const int64_t published =
+          counters.publishes - publishes_at_create[static_cast<size_t>(w)];
+      if (mode.staleness_ms == 0) {
+        EXPECT_LE(published, mode.per_writer / mode.batch) << w;
+      }
+      skipped += counters.skipped;
+    }
+    if (mode.staleness_ms > 0) {
+      EXPECT_GT(skipped, 0);
     }
   }
 }

@@ -6,11 +6,13 @@
 // ephemeral ports so tests parallelize.
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -820,6 +822,76 @@ TEST_F(ReplicationTest, ReplicaFollowsRefusesWritesAndPromotes) {
   const auto write = replica_engine_.Execute("APPEND s 6");
   ASSERT_TRUE(write.ok()) << write.status();
   EXPECT_EQ(replica_engine_.Execute("COUNT s").value(), "6");
+}
+
+// Writes stream into the primary while one reader queries the primary and
+// another the replica over their own servers. Every read gets a reply, OK or
+// a typed error, and once the writes stop the replica drains to the
+// primary's durable LSN: no acked write is lost on the way.
+TEST_F(ReplicationTest, ReplicaDrainsToDurableLsnUnderConcurrentLoad) {
+  StartPrimary("repl_drain_primary");
+  StartReplica("repl_drain_replica");
+  auto replica_server = net::TcpServer::Start(replica_engine_, {});
+  ASSERT_TRUE(replica_server.ok()) << replica_server.status();
+
+  TcpTestClient writer(server_->port());
+  ASSERT_TRUE(writer.connected());
+  ASSERT_TRUE(writer.Send("CREATE s 64 8\n"));
+  ASSERT_TRUE(writer.ReadReply().ok);
+
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> replies{0};
+  std::atomic<int64_t> protocol_errors{0};
+  const auto read_loop = [&](uint16_t port) {
+    TcpTestClient reader(port);
+    if (!reader.connected()) {
+      protocol_errors.fetch_add(1);
+      return;
+    }
+    for (int i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+      const Reply reply = reader.Send(i % 2 == 0 ? "COUNT s\n" : "SUM s 0 1\n")
+                              ? reader.ReadReply()
+                              : Reply{};
+      if (!reply.ok && reply.code.empty()) {
+        protocol_errors.fetch_add(1);
+        return;
+      }
+      replies.fetch_add(1);
+    }
+  };
+  std::thread primary_reader(read_loop, server_->port());
+  std::thread replica_reader(read_loop, replica_server.value()->port());
+
+  constexpr int kBatches = 64;
+  constexpr int kBatchValues = 64;
+  std::vector<double> values(kBatchValues);
+  int acked_batches = 0;
+  for (; acked_batches < kBatches; ++acked_batches) {
+    for (int i = 0; i < kBatchValues; ++i) {
+      values[static_cast<size_t>(i)] = acked_batches + 0.25 * i;
+    }
+    if (!writer.Send(Frame("s", values)) || !writer.ReadReply().ok) break;
+  }
+  stop.store(true);
+  primary_reader.join();
+  replica_reader.join();
+  ASSERT_EQ(acked_batches, kBatches);
+  EXPECT_EQ(protocol_errors.load(), 0);
+  EXPECT_GT(replies.load(), 0);
+
+  // ReplicaCaughtUpTo polls for 5 s; allow the drain 30 s in all.
+  const int64_t durable = engine_.WalDurableLsn();
+  bool drained = false;
+  for (int attempt = 0; attempt < 6 && !drained; ++attempt) {
+    drained = ReplicaCaughtUpTo(durable);
+  }
+  ASSERT_TRUE(drained) << "replica stalled at lsn "
+                       << replica_engine_.replica_status().applied_lsn
+                       << " of " << durable;
+  const std::string total = std::to_string(kBatches * kBatchValues);
+  EXPECT_EQ(engine_.Execute("COUNT s").value(), total);
+  EXPECT_EQ(replica_engine_.Execute("COUNT s").value(), total);
+  replica_server.value()->Shutdown();
 }
 
 TEST_F(ReplicationTest, SubscribeWithoutAHubIsTypedAndCloses) {

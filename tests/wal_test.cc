@@ -115,8 +115,9 @@ TEST_F(WalTest, GroupCommitAcksEveryConcurrentAppendDurably) {
   EXPECT_EQ(stats.durable_lsn, kThreads * kPerThread);
   EXPECT_EQ(stats.sync_waits, kThreads * kPerThread);
   // ...but the flusher may cover many waiters with one fsync. The exact
-  // coalescing ratio is timing-dependent (measured in bench_load); here we
-  // only require it never exceeds one fsync per append.
+  // coalescing ratio is timing-dependent (perfbench reports it as
+  // wal.fsyncs_per_wait); here we only require it never exceeds one fsync
+  // per append.
   EXPECT_GE(stats.fsyncs, 1);
   EXPECT_LE(stats.fsyncs, stats.sync_waits);
 
@@ -279,6 +280,35 @@ TEST_F(WalTest, PolicySpecRoundTripsAndRejectsGarbage) {
        {"", "sometimes", "bytes", "bytes:0", "bytes:-4", "interval:",
         "interval:zero", "always:5"}) {
     EXPECT_FALSE(wal::ParsePolicySpec(spec).ok()) << spec;
+  }
+}
+
+// The deferred policies keep fsync off the append path, which is what they
+// buy over "always": no append ever waits on durability, "none" issues no
+// fsync before close, and "bytes:N" issues at most one per N appended bytes.
+TEST_F(WalTest, DeferredPoliciesBoundTheFsyncCount) {
+  constexpr int kRecords = 2000;
+  const std::string payload(48, 'x');
+  for (const char* spec : {"none", "bytes:4096"}) {
+    SCOPED_TRACE(spec);
+    const wal::Options options = wal::ParsePolicySpec(spec).value();
+    const std::string dir =
+        TempDir(options.policy == wal::SyncPolicy::kNone ? "wal_fsyncs_none"
+                                                         : "wal_fsyncs_bytes");
+    auto opened = wal::Wal::Open(dir, options, nullptr);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    wal::Wal& log = *opened.value();
+    for (int i = 0; i < kRecords; ++i) ASSERT_TRUE(log.Append(payload).ok());
+
+    const wal::StatsSnapshot stats = log.stats();
+    EXPECT_EQ(stats.records, kRecords);
+    EXPECT_EQ(stats.sync_waits, 0);
+    if (options.policy == wal::SyncPolicy::kNone) {
+      EXPECT_EQ(stats.fsyncs, 0);
+    } else {
+      EXPECT_LE(stats.fsyncs, stats.bytes / options.bytes_threshold + 1)
+          << stats.bytes << " bytes appended";
+    }
   }
 }
 
