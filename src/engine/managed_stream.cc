@@ -157,6 +157,13 @@ std::string DegradationReport::ToString() const {
 }
 
 Result<ManagedStream> ManagedStream::Create(const StreamConfig& config) {
+  STREAMHIST_ASSIGN_OR_RETURN(ManagedStream stream, CreateUnpublished(config));
+  stream.PublishSnapshot();
+  return stream;
+}
+
+Result<ManagedStream> ManagedStream::CreateUnpublished(
+    const StreamConfig& config) {
   if (!std::isfinite(config.build_delta) || config.build_delta < 0.0) {
     return Status::InvalidArgument("build_delta must be finite and >= 0");
   }
@@ -181,8 +188,6 @@ Result<ManagedStream> ManagedStream::Create(const StreamConfig& config) {
     STREAMHIST_ASSIGN_OR_RETURN(FMSketch sketch, FMSketch::Create(256));
     stream.distinct_ = std::make_unique<FMSketch>(std::move(sketch));
   }
-  stream.ReconcileGovernorCharge();
-  stream.PublishSnapshot();
   return stream;
 }
 
@@ -191,7 +196,6 @@ ManagedStream::ManagedStream(const StreamConfig& config,
     : config_(config),
       window_(std::make_unique<FixedWindowHistogram>(std::move(window))),
       snapshot_cell_(std::make_shared<SnapshotCell<QuerySnapshot>>()),
-      stats_(std::make_unique<QueryStats>()),
       publish_(std::make_unique<PublishState>()) {}
 
 ManagedStream::ManagedStream(ManagedStream&& other) noexcept
@@ -206,7 +210,6 @@ ManagedStream::ManagedStream(ManagedStream&& other) noexcept
       quantiles_(std::move(other.quantiles_)),
       distinct_(std::move(other.distinct_)),
       snapshot_cell_(std::move(other.snapshot_cell_)),
-      stats_(std::move(other.stats_)),
       publish_(std::move(other.publish_)) {}
 
 ManagedStream& ManagedStream::operator=(ManagedStream&& other) noexcept {
@@ -223,7 +226,6 @@ ManagedStream& ManagedStream::operator=(ManagedStream&& other) noexcept {
   quantiles_ = std::move(other.quantiles_);
   distinct_ = std::move(other.distinct_);
   snapshot_cell_ = std::move(other.snapshot_cell_);
-  stats_ = std::move(other.stats_);
   publish_ = std::move(other.publish_);
   return *this;
 }
@@ -503,6 +505,15 @@ std::string ManagedStream::Describe() {
 
 void ManagedStream::PublishSnapshot() {
   const auto start = std::chrono::steady_clock::now();
+  const int64_t staleness_us = Publish(start);
+  publish_->stats.RecordPublish(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count(),
+      staleness_us);
+}
+
+int64_t ManagedStream::Publish(std::chrono::steady_clock::time_point now) {
   PublishState& ps = *publish_;
   auto snap = std::make_shared<QuerySnapshot>();
   snap->version = ++publish_version_;
@@ -560,18 +571,14 @@ void ManagedStream::PublishSnapshot() {
   int64_t staleness_us = 0;
   if (ps.dirty) {
     staleness_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                       start - ps.dirty_since)
+                       now - ps.dirty_since)
                        .count();
     ps.dirty = false;
   }
 
   snapshot_cell_->Publish(std::move(snap));
   ReconcileGovernorCharge();
-  const auto end = std::chrono::steady_clock::now();
-  ps.stats.RecordPublish(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
-          .count(),
-      staleness_us);
+  return staleness_us;
 }
 
 std::shared_ptr<const QuerySnapshot> ManagedStream::AcquireSnapshot() const {
@@ -583,11 +590,10 @@ constexpr uint32_t kStreamMagic = 0x53484D53;  // "SHMS"
 // One version loads: the current one (DESIGN.md §8.2 has the layout).
 // Config (window i64, buckets i64, eps f64, keep_quantiles b,
 // quantile_eps f64, keep_distinct b, build_approx b, build_delta f64),
-// dropped_nonfinite i64, degraded_builds i64, then length-prefixed blobs for
-// the window histogram, the GK summary and the FM sketch (each only when
-// enabled), the per-verb stats block, the applied WAL LSN i64, and the
-// publication-stats block.
-constexpr uint32_t kStreamVersion = 7;
+// dropped_nonfinite i64, then length-prefixed blobs for the window
+// histogram, the GK summary and the FM sketch (each only when enabled), and
+// the applied WAL LSN i64. Synopsis state only: no telemetry.
+constexpr uint32_t kStreamVersion = 8;
 }  // namespace
 
 std::string ManagedStream::Snapshot(int64_t wal_lsn_floor) const {
@@ -601,15 +607,12 @@ std::string ManagedStream::Snapshot(int64_t wal_lsn_floor) const {
   payload.PutBool(config_.build_mode == WindowBuildMode::kApprox);
   payload.PutF64(config_.build_delta);
   payload.PutI64(dropped_nonfinite_);
-  payload.PutI64(degraded_builds_);
   payload.PutLengthPrefixed(window_->Serialize());
   if (quantiles_ != nullptr) {
     payload.PutLengthPrefixed(quantiles_->Serialize());
   }
   if (distinct_ != nullptr) payload.PutLengthPrefixed(distinct_->Serialize());
-  payload.PutLengthPrefixed(stats_->Serialize());
   payload.PutI64(std::max(wal_lsn_, wal_lsn_floor));
-  payload.PutLengthPrefixed(publish_->stats.Serialize());
   return WrapFrame(kStreamMagic, kStreamVersion, payload.bytes());
 }
 
@@ -623,7 +626,6 @@ Result<ManagedStream> ManagedStream::Restore(std::string_view bytes) {
   ByteReader reader(frame.payload);
   StreamConfig config;
   int64_t dropped = 0;
-  int64_t degraded_builds = 0;
   bool approx = false;
   std::string_view window_bytes;
   if (!reader.ReadI64(&config.window_size) ||
@@ -633,20 +635,19 @@ Result<ManagedStream> ManagedStream::Restore(std::string_view bytes) {
       !reader.ReadF64(&config.quantile_epsilon) ||
       !reader.ReadBool(&config.keep_distinct) || !reader.ReadBool(&approx) ||
       !reader.ReadF64(&config.build_delta) || !reader.ReadI64(&dropped) ||
-      !reader.ReadI64(&degraded_builds) ||
       !reader.ReadLengthPrefixed(&window_bytes)) {
     return Status::InvalidArgument("truncated stream snapshot");
   }
   config.build_mode =
       approx ? WindowBuildMode::kApprox : WindowBuildMode::kExact;
-  if (dropped < 0 || degraded_builds < 0) {
+  if (dropped < 0) {
     return Status::InvalidArgument("stream counters violate invariants");
   }
-  // Create() re-validates the config through every synopsis factory; the
-  // freshly built synopses are then replaced by the deserialized ones.
-  STREAMHIST_ASSIGN_OR_RETURN(ManagedStream stream, Create(config));
+  // CreateUnpublished() re-validates the config through every synopsis
+  // factory; the freshly built synopses are then replaced by the
+  // deserialized ones.
+  STREAMHIST_ASSIGN_OR_RETURN(ManagedStream stream, CreateUnpublished(config));
   stream.dropped_nonfinite_ = dropped;
-  stream.degraded_builds_ = degraded_builds;
 
   STREAMHIST_ASSIGN_OR_RETURN(FixedWindowHistogram window,
                               FixedWindowHistogram::Deserialize(window_bytes));
@@ -674,32 +675,20 @@ Result<ManagedStream> ManagedStream::Restore(std::string_view bytes) {
     STREAMHIST_ASSIGN_OR_RETURN(FMSketch distinct, FMSketch::Deserialize(sub));
     *stream.distinct_ = std::move(distinct);
   }
-  std::string_view stats_bytes, publish_bytes;
   int64_t wal_lsn = 0;
-  if (!reader.ReadLengthPrefixed(&stats_bytes) || !reader.ReadI64(&wal_lsn) ||
-      !reader.ReadLengthPrefixed(&publish_bytes)) {
+  if (!reader.ReadI64(&wal_lsn)) {
     return Status::InvalidArgument("truncated stream snapshot");
   }
   if (wal_lsn < 0) {
     return Status::InvalidArgument("stream counters violate invariants");
   }
   stream.wal_lsn_ = wal_lsn;
-  if (Status s = stream.stats_->Deserialize(stats_bytes); !s.ok()) return s;
-  if (Status s = stream.publish_->stats.Deserialize(publish_bytes); !s.ok()) {
-    return s;
-  }
   if (!reader.AtEnd()) {
     return Status::InvalidArgument("trailing bytes after stream snapshot");
   }
-  stream.ReconcileGovernorCharge();
-  // The synopses just changed under the snapshot Create() published (and
-  // Create's publish cleared the change flags) — re-mark every section
-  // changed and republish so readers see the restored state, not the empty
-  // one.
-  stream.publish_->window_changed = true;
-  stream.publish_->quantiles_changed = true;
-  stream.publish_->fm_mutations_at_publish = -1;
-  stream.PublishSnapshot();
+  // Unrecorded: loading is not publication traffic, so the restored
+  // stream's telemetry starts at zero.
+  stream.Publish(std::chrono::steady_clock::now());
   return stream;
 }
 

@@ -2,6 +2,7 @@
 #define STREAMHIST_ENGINE_MANAGED_STREAM_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -269,7 +270,8 @@ class ManagedStream {
   }
 
   /// Publication telemetry: publishes, coalesced skips, max staleness,
-  /// publish latency histogram (thread-safe; carried in SHMS checkpoints).
+  /// publish latency histogram (thread-safe; process-lifetime only — a
+  /// restored stream starts at zero).
   PublishStats& publish_stats();
   const PublishStats& publish_stats() const;
 
@@ -297,8 +299,8 @@ class ManagedStream {
   /// Points rejected by Append because they were NaN or infinite.
   int64_t dropped_nonfinite() const { return dropped_nonfinite_; }
 
-  /// BUILDs (over the stream's lifetime, surviving checkpoints) that had to
-  /// descend below their first planned ladder rung.
+  /// BUILDs (since Create or Restore in this process) that had to descend
+  /// below their first planned ladder rung.
   int64_t degraded_builds() const { return degraded_builds_; }
 
   /// Highest WAL LSN applied to this stream's synopses (0 when the stream
@@ -358,25 +360,29 @@ class ManagedStream {
   /// both publish an initial version). Lock-free; callable from any thread.
   std::shared_ptr<const QuerySnapshot> AcquireSnapshot() const;
 
-  /// Per-verb execution counters for this stream (thread-safe to record
-  /// into; carried in SHMS checkpoints).
-  QueryStats& stats() { return *stats_; }
-  const QueryStats& stats() const { return *stats_; }
-
   /// Serializes the config plus every maintained synopsis as one framed,
   /// CRC-protected blob — the unit of engine checkpoints. A restored stream
   /// answers every query identically and ingests future points identically.
+  /// Telemetry (publish stats, degraded-build count) is not in the blob.
   /// `wal_lsn_floor` raises the serialized WAL LSN (the engine's checkpoint
   /// protocol stores max(wal_lsn(), global WAL high-water) — see
   /// query_engine.cc); pass 0 for a plain snapshot.
   std::string Snapshot(int64_t wal_lsn_floor = 0) const;
 
   /// Inverse of Snapshot; validates structure and never aborts on hostile
-  /// bytes.
+  /// bytes. The restored stream's telemetry starts at zero: its initial
+  /// publish is not recorded.
   static Result<ManagedStream> Restore(std::string_view bytes);
 
  private:
   ManagedStream(const StreamConfig& config, FixedWindowHistogram window);
+
+  // Create without the initial publish (whose reconcile takes the first
+  // governor charge).
+  static Result<ManagedStream> CreateUnpublished(const StreamConfig& config);
+  // PublishSnapshot without the telemetry; `now` is the publish's start.
+  // Returns the staleness (us) the publish cleared.
+  int64_t Publish(std::chrono::steady_clock::time_point now);
 
   // Append without the governor reconcile (batched by AppendBatch).
   void AppendValue(double value);
@@ -399,8 +405,6 @@ class ManagedStream {
   // via a StreamHandle while the owning registry entry is being destroyed,
   // and the indirection keeps the cell's address stable across moves.
   std::shared_ptr<SnapshotCell<QuerySnapshot>> snapshot_cell_;
-  // Atomics inside; the indirection keeps the stream movable.
-  std::unique_ptr<QueryStats> stats_;
   // Change tracking, COW section caches, coalescing state, and publish
   // telemetry — mutated only under the stream's writer mutex. Behind
   // unique_ptr (the telemetry's atomics) to keep the stream movable.

@@ -1214,71 +1214,67 @@ Result<std::string> QueryEngine::ExecuteParsed(const StatementTokens& tokens,
       }
       return os.str();
     }
-    case QueryVerb::kNumVerbs:
-      // WAL, FLUSH and PROMOTE are not QueryVerb enumerators: the enum's
-      // cardinality is baked into the SHMS stats layout.
-      if (KeywordEquals(tokens[0], "WAL")) {
-        if (wal_ == nullptr) {
-          return Status::FailedPrecondition(
-              "no write-ahead log is open (start with --wal-dir)");
-        }
-        if (tokens.size() == 2 && KeywordEquals(tokens[1], "CHECKPOINT")) {
-          std::string summary;
-          STREAMHIST_RETURN_NOT_OK(WalCheckpointNow(&summary));
-          return summary;
-        }
-        if (tokens.size() != 1) {
-          return Status::InvalidArgument("WAL [CHECKPOINT]");
-        }
-        const wal::StatsSnapshot s = wal_->log->stats();
-        std::ostringstream os;
-        os << "policy=" << wal::PolicySpecString(wal_->log->options())
-           << "; durable lsn=" << s.durable_lsn << "; next lsn=" << s.next_lsn
-           << "; records=" << s.records << "; bytes=" << s.bytes
-           << "; fsyncs=" << s.fsyncs << "; sync waits=" << s.sync_waits
-           << "; segments created=" << s.segments_created << " deleted="
-           << s.segments_deleted << "; checkpoints="
-           << wal_->checkpoints.load(std::memory_order_relaxed)
-           << "\nlast recovery: " << wal_->recovery.ToString();
-        return os.str();
+    case QueryVerb::kWal: {
+      if (wal_ == nullptr) {
+        return Status::FailedPrecondition(
+            "no write-ahead log is open (start with --wal-dir)");
       }
-      if (KeywordEquals(tokens[0], "FLUSH")) {
-        // Publish any coalesced appends now (DESIGN.md §13).
-        if (tokens.size() > 2) {
-          return Status::InvalidArgument("FLUSH [<stream>]");
-        }
-        int64_t flushed = 0;
-        if (tokens.size() == 2) {
-          STREAMHIST_ASSIGN_OR_RETURN(StreamHandle handle,
-                                      Stream(std::string(tokens[1])));
+      if (tokens.size() == 2 && KeywordEquals(tokens[1], "CHECKPOINT")) {
+        std::string summary;
+        STREAMHIST_RETURN_NOT_OK(WalCheckpointNow(&summary));
+        return summary;
+      }
+      if (tokens.size() != 1) {
+        return Status::InvalidArgument("WAL [CHECKPOINT]");
+      }
+      const wal::StatsSnapshot s = wal_->log->stats();
+      std::ostringstream os;
+      os << "policy=" << wal::PolicySpecString(wal_->log->options())
+         << "; durable lsn=" << s.durable_lsn << "; next lsn=" << s.next_lsn
+         << "; records=" << s.records << "; bytes=" << s.bytes
+         << "; fsyncs=" << s.fsyncs << "; sync waits=" << s.sync_waits
+         << "; segments created=" << s.segments_created << " deleted="
+         << s.segments_deleted << "; checkpoints="
+         << wal_->checkpoints.load(std::memory_order_relaxed)
+         << "\nlast recovery: " << wal_->recovery.ToString();
+      return os.str();
+    }
+    case QueryVerb::kFlush: {
+      // Publish any coalesced appends now (DESIGN.md §13).
+      if (tokens.size() > 2) {
+        return Status::InvalidArgument("FLUSH [<stream>]");
+      }
+      int64_t flushed = 0;
+      if (tokens.size() == 2) {
+        STREAMHIST_ASSIGN_OR_RETURN(StreamHandle handle,
+                                    Stream(std::string(tokens[1])));
+        const auto lock = handle.LockWriter();
+        if (handle.stream().FlushIfDirty()) ++flushed;
+      } else {
+        for (const StreamHandle& handle : registry_.Handles()) {
           const auto lock = handle.LockWriter();
           if (handle.stream().FlushIfDirty()) ++flushed;
-        } else {
-          for (const StreamHandle& handle : registry_.Handles()) {
-            const auto lock = handle.LockWriter();
-            if (handle.stream().FlushIfDirty()) ++flushed;
-          }
         }
-        return "flushed " + std::to_string(flushed) + " stream(s)";
       }
-      if (KeywordEquals(tokens[0], "PROMOTE")) {
-        // Failover: flip this replica into a writable primary at a clean
-        // batch boundary (DESIGN.md §14).
-        if (tokens.size() != 1) {
-          return Status::InvalidArgument("PROMOTE takes no arguments");
-        }
-        std::function<Result<std::string>()> promote;
-        {
-          const std::lock_guard<std::mutex> lock(repl_->mu);
-          promote = repl_->promote;
-        }
-        if (!promote) {
-          return Status::FailedPrecondition(
-              "PROMOTE requires a replica (start with --replica-of)");
-        }
-        return promote();
+      return "flushed " + std::to_string(flushed) + " stream(s)";
+    }
+    case QueryVerb::kPromote: {
+      // Failover: flip this replica into a writable primary at a clean
+      // batch boundary (DESIGN.md §14).
+      if (tokens.size() != 1) {
+        return Status::InvalidArgument("PROMOTE takes no arguments");
       }
-      break;
+      std::function<Result<std::string>()> promote;
+      {
+        const std::lock_guard<std::mutex> lock(repl_->mu);
+        promote = repl_->promote;
+      }
+      if (!promote) {
+        return Status::FailedPrecondition(
+            "PROMOTE requires a replica (start with --replica-of)");
+      }
+      return promote();
+    }
     default:
       break;
   }

@@ -100,11 +100,6 @@ std::string FormatAnswer(double v);
 ///                                 primary at a clean LSN boundary (DESIGN.md
 ///                                 §14); refused on a non-replica
 ///
-/// (WAL / WAL CHECKPOINT / FLUSH / PROMOTE are deliberately *not* QueryVerb
-/// enumerators: the enum's cardinality is baked into the SHMS stats-block
-/// layout, so growing it changes the checkpoint format. They execute
-/// without per-verb stats.)
-///
 /// Concurrency model (DESIGN.md §10): Execute is safe to call from any
 /// number of threads against one engine. Estimation verbs answer lock-free
 /// from each stream's atomically-published QuerySnapshot; APPEND/BUILD
@@ -396,7 +391,7 @@ class QueryEngine {
                                        ExecContext* ctx);
 
   /// The dispatcher for a tokenized statement. `verb` is kNumVerbs for a
-  /// first token that names no QueryVerb (WAL, FLUSH, PROMOTE or unknown).
+  /// first token that names no verb.
   /// Sets `*touched` to the resolved stream handle for stream-scoped verbs
   /// (the stats target); leaves it empty for engine-scoped verbs and failed
   /// lookups.

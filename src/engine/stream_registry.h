@@ -47,7 +47,8 @@ class StreamHandle {
   }
 
   /// The stream's per-verb counters; safe to record into from any thread.
-  QueryStats& stats() const { return entry_->stream.stats(); }
+  /// They live as long as the registry entry and are never serialized.
+  QueryStats& stats() const { return entry_->stats; }
 
   /// Acquires the stream's writer mutex. One writer mutates at a time;
   /// readers never take this (they read published snapshots).
@@ -63,6 +64,7 @@ class StreamHandle {
         : name(std::move(entry_name)), stream(std::move(entry_stream)) {}
     const std::string name;
     ManagedStream stream;
+    QueryStats stats;
     std::mutex writer_mu;
   };
 

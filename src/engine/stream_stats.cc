@@ -4,8 +4,6 @@
 #include <sstream>
 #include <vector>
 
-#include "src/util/framing.h"
-
 namespace streamhist {
 
 namespace {
@@ -26,6 +24,8 @@ constexpr VerbNameEntry kVerbNames[] = {
     {QueryVerb::kCreate, "CREATE"},     {QueryVerb::kDrop, "DROP"},
     {QueryVerb::kList, "LIST"},         {QueryVerb::kMemory, "MEMORY"},
     {QueryVerb::kSave, "SAVE"},         {QueryVerb::kLoad, "LOAD"},
+    {QueryVerb::kWal, "WAL"},           {QueryVerb::kFlush, "FLUSH"},
+    {QueryVerb::kPromote, "PROMOTE"},
 };
 static_assert(sizeof(kVerbNames) / sizeof(kVerbNames[0]) == kNumQueryVerbs,
               "every QueryVerb needs a name");
@@ -176,63 +176,6 @@ std::string QueryStats::Render() const {
   return os.str();
 }
 
-std::string QueryStats::Serialize() const {
-  ByteWriter out;
-  out.PutU32(static_cast<uint32_t>(kNumQueryVerbs));
-  out.PutU32(static_cast<uint32_t>(kLatencyBuckets));
-  for (size_t i = 0; i < kNumQueryVerbs; ++i) {
-    const VerbCounters c = Read(static_cast<QueryVerb>(i));
-    out.PutI64(c.count);
-    out.PutI64(c.errors);
-    out.PutI64(c.total_nanos);
-    for (int64_t hits : c.latency) out.PutI64(hits);
-  }
-  return out.TakeBytes();
-}
-
-Status QueryStats::Deserialize(std::string_view bytes) {
-  if (bytes.size() != SerializedBytes()) {
-    return Status::InvalidArgument("stats block has wrong size");
-  }
-  ByteReader reader(bytes);
-  uint32_t verbs = 0, latency_buckets = 0;
-  if (!reader.ReadU32(&verbs) || !reader.ReadU32(&latency_buckets) ||
-      verbs != kNumQueryVerbs || latency_buckets != kLatencyBuckets) {
-    return Status::InvalidArgument("stats block layout mismatch");
-  }
-  for (size_t i = 0; i < kNumQueryVerbs; ++i) {
-    Slot& slot = slots_[i];
-    int64_t count = 0, errors = 0, total_nanos = 0;
-    if (!reader.ReadI64(&count) || !reader.ReadI64(&errors) ||
-        !reader.ReadI64(&total_nanos)) {
-      return Status::InvalidArgument("truncated stats block");
-    }
-    // Only per-field invariants: counters are recorded with independent
-    // relaxed atomics, so a checkpoint racing lock-free readers can
-    // legitimately capture e.g. a count ahead of its latency buckets.
-    // Cross-field equalities would reject such (healthy) images.
-    if (count < 0 || errors < 0 || total_nanos < 0) {
-      return Status::InvalidArgument("stats counters violate invariants");
-    }
-    std::array<int64_t, kLatencyBuckets> latency = {};
-    for (size_t b = 0; b < kLatencyBuckets; ++b) {
-      if (!reader.ReadI64(&latency[b])) {
-        return Status::InvalidArgument("truncated stats block");
-      }
-      if (latency[b] < 0) {
-        return Status::InvalidArgument("stats counters violate invariants");
-      }
-    }
-    slot.count.store(count, std::memory_order_relaxed);
-    slot.errors.store(errors, std::memory_order_relaxed);
-    slot.total_nanos.store(total_nanos, std::memory_order_relaxed);
-    for (size_t b = 0; b < kLatencyBuckets; ++b) {
-      slot.latency[b].store(latency[b], std::memory_order_relaxed);
-    }
-  }
-  return Status::OK();
-}
-
 void PublishStats::RecordPublish(int64_t nanos, int64_t staleness_us) {
   if (nanos < 0) nanos = 0;
   if (staleness_us < 0) staleness_us = 0;
@@ -280,71 +223,6 @@ std::string PublishStats::Render() const {
      << " p99<="
      << FormatNanos(static_cast<double>(QuantileUpperNanos(as_verb, 0.99)));
   return os.str();
-}
-
-std::string PublishStats::Serialize() const {
-  const PublishCounters c = Read();
-  ByteWriter out;
-  out.PutU32(4);  // scalar counters ahead of the buckets
-  out.PutU32(static_cast<uint32_t>(kVerbLatencyBuckets));
-  out.PutI64(c.publishes);
-  out.PutI64(c.skipped);
-  out.PutI64(c.max_staleness_us);
-  out.PutI64(c.total_nanos);
-  for (int64_t hits : c.latency) out.PutI64(hits);
-  return out.TakeBytes();
-}
-
-Status PublishStats::Deserialize(std::string_view bytes) {
-  if (bytes.size() != SerializedBytes()) {
-    return Status::InvalidArgument("publish-stats block has wrong size");
-  }
-  ByteReader reader(bytes);
-  uint32_t scalars = 0, buckets = 0;
-  if (!reader.ReadU32(&scalars) || !reader.ReadU32(&buckets) || scalars != 4 ||
-      buckets != kVerbLatencyBuckets) {
-    return Status::InvalidArgument("publish-stats block layout mismatch");
-  }
-  int64_t publishes = 0, skipped = 0, max_staleness_us = 0, total_nanos = 0;
-  if (!reader.ReadI64(&publishes) || !reader.ReadI64(&skipped) ||
-      !reader.ReadI64(&max_staleness_us) || !reader.ReadI64(&total_nanos)) {
-    return Status::InvalidArgument("truncated publish-stats block");
-  }
-  if (publishes < 0 || skipped < 0 || max_staleness_us < 0 ||
-      total_nanos < 0) {
-    return Status::InvalidArgument("publish-stats counters violate invariants");
-  }
-  std::array<int64_t, kVerbLatencyBuckets> latency = {};
-  for (size_t b = 0; b < kVerbLatencyBuckets; ++b) {
-    if (!reader.ReadI64(&latency[b])) {
-      return Status::InvalidArgument("truncated publish-stats block");
-    }
-    if (latency[b] < 0) {
-      return Status::InvalidArgument(
-          "publish-stats counters violate invariants");
-    }
-  }
-  publishes_.store(publishes, std::memory_order_relaxed);
-  skipped_.store(skipped, std::memory_order_relaxed);
-  max_staleness_us_.store(max_staleness_us, std::memory_order_relaxed);
-  total_nanos_.store(total_nanos, std::memory_order_relaxed);
-  for (size_t b = 0; b < kVerbLatencyBuckets; ++b) {
-    latency_[b].store(latency[b], std::memory_order_relaxed);
-  }
-  return Status::OK();
-}
-
-void QueryStats::MergeFrom(const QueryStats& other) {
-  for (size_t i = 0; i < kNumQueryVerbs; ++i) {
-    const VerbCounters c = other.Read(static_cast<QueryVerb>(i));
-    Slot& slot = slots_[i];
-    slot.count.fetch_add(c.count, std::memory_order_relaxed);
-    slot.errors.fetch_add(c.errors, std::memory_order_relaxed);
-    slot.total_nanos.fetch_add(c.total_nanos, std::memory_order_relaxed);
-    for (size_t b = 0; b < kLatencyBuckets; ++b) {
-      slot.latency[b].fetch_add(c.latency[b], std::memory_order_relaxed);
-    }
-  }
 }
 
 }  // namespace streamhist

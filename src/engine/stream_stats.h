@@ -8,14 +8,12 @@
 #include <string_view>
 
 #include "src/core/histogram.h"
-#include "src/util/result.h"
 
 namespace streamhist {
 
 /// Every verb of the engine's query language, stream-scoped and
-/// engine-scoped alike. The enumerator order is the SHMS stats-block
-/// order — append new verbs at the end (before kNumVerbs) and bump the
-/// snapshot version, never reorder.
+/// engine-scoped alike. The enumerator order is STATS' line order; it is in
+/// no durable format.
 enum class QueryVerb : uint8_t {
   kSum = 0,
   kAvg,
@@ -37,7 +35,10 @@ enum class QueryVerb : uint8_t {
   kMemory,
   kSave,
   kLoad,
-  kNumVerbs  // sentinel, not a verb
+  kWal,
+  kFlush,
+  kPromote,
+  kNumVerbs  // sentinel: "unknown verb"
 };
 
 inline constexpr size_t kNumQueryVerbs =
@@ -66,9 +67,9 @@ struct VerbCounters {
 
 /// Per-verb execution counters and latency histograms, safe to record into
 /// from any number of threads concurrently (relaxed atomics: counters are
-/// diagnostics, not synchronization). One instance lives in every
-/// ManagedStream (stream-scoped verbs, carried through SHMS checkpoints)
-/// and one in the QueryEngine (engine-scoped verbs, process-lifetime only).
+/// diagnostics, not synchronization). One instance lives in every registry
+/// entry (stream-scoped verbs) and one in the QueryEngine (engine-scoped
+/// verbs); both live for the process lifetime and are never serialized.
 ///
 /// Latencies land in logarithmic buckets: bucket 0 is [0, 512ns) and bucket
 /// i >= 1 covers [256 << i, 256 << (i+1)) ns, the last bucket open-ended —
@@ -111,25 +112,6 @@ class QueryStats {
   /// recorded. The quantiles are bucket upper bounds, hence the "<=".
   std::string Render() const;
 
-  /// Fixed-size byte image (SerializedBytes() long) of every counter — the
-  /// SHMS stats block.
-  std::string Serialize() const;
-
-  /// Inverse of Serialize into *this (expects a fresh instance). Rejects
-  /// wrong sizes, mismatched layout constants, and negative counters.
-  Status Deserialize(std::string_view bytes);
-
-  /// Byte length of Serialize()'s output — a layout constant.
-  static constexpr size_t SerializedBytes() {
-    // Two u32 layout constants, then per verb: count, errors, total_nanos
-    // and the latency buckets, all i64.
-    return 8 + kNumQueryVerbs * 8 * (3 + kLatencyBuckets);
-  }
-
-  /// Adds every counter of `other` into *this (LOAD-time merge of restored
-  /// stream stats is not needed today, but STATS aggregates engine views).
-  void MergeFrom(const QueryStats& other);
-
  private:
   struct Slot {
     std::atomic<int64_t> count{0};
@@ -158,7 +140,7 @@ struct PublishCounters {
 /// oldest unpublished append when its publish finally ran), and a latency
 /// histogram of the publish operation itself (same log2 nanosecond buckets
 /// as QueryStats). Relaxed atomics, same recording discipline as QueryStats;
-/// carried through SHMS checkpoints as a tail block.
+/// process-lifetime only, never serialized.
 class PublishStats {
  public:
   PublishStats() = default;
@@ -177,19 +159,6 @@ class PublishStats {
   /// One "publish count=N skipped=K max_staleness=Xus mean=Y p50<=Z p99<=W"
   /// line; empty string when nothing was ever published.
   std::string Render() const;
-
-  /// Fixed-size byte image (SerializedBytes() long) — the SHMS tail block.
-  std::string Serialize() const;
-
-  /// Inverse of Serialize into *this (expects a fresh instance). Rejects
-  /// wrong sizes, layout mismatches, and negative counters.
-  Status Deserialize(std::string_view bytes);
-
-  static constexpr size_t SerializedBytes() {
-    // Two u32 layout constants, then the four scalar counters and the
-    // latency buckets, all i64.
-    return 8 + (4 + kVerbLatencyBuckets) * 8;
-  }
 
  private:
   std::atomic<int64_t> publishes_{0};

@@ -351,6 +351,27 @@ TEST_F(QueryEngineTest, StatsVerbLatencyHistogramAndErrors) {
   EXPECT_FALSE(engine_.Execute("STATS eth0 FROBNICATE").ok());
   EXPECT_FALSE(engine_.Execute("STATS nosuch").ok());
   EXPECT_FALSE(engine_.Execute("STATS eth0 SUM extra").ok());
+  // WAL, FLUSH and PROMOTE are verbs like any other: counted engine-wide.
+  EXPECT_TRUE(engine_.Execute("FLUSH").ok());
+  EXPECT_FALSE(engine_.Execute("WAL").ok());      // no WAL is open
+  EXPECT_FALSE(engine_.Execute("PROMOTE").ok());  // not a replica
+  const QueryStats& engine_stats = engine_.engine_stats();
+  EXPECT_EQ(engine_stats.Read(QueryVerb::kFlush).count, 1);
+  EXPECT_EQ(engine_stats.Read(QueryVerb::kFlush).errors, 0);
+  EXPECT_EQ(engine_stats.Read(QueryVerb::kWal).count, 1);
+  EXPECT_EQ(engine_stats.Read(QueryVerb::kWal).errors, 1);
+  EXPECT_EQ(engine_stats.Read(QueryVerb::kPromote).count, 1);
+  EXPECT_EQ(engine_stats.Read(QueryVerb::kPromote).errors, 1);
+  const std::string stats = engine_.Execute("STATS").value();
+  const size_t engine_at = stats.find("engine:");
+  const size_t streams_at = stats.find("\nstream ");
+  ASSERT_NE(engine_at, std::string::npos) << stats;
+  for (const char* line : {"\nFLUSH count=1 errors=0", "\nWAL count=1 errors=1",
+                           "\nPROMOTE count=1 errors=1"}) {
+    const size_t at = stats.find(line);
+    EXPECT_GT(at, engine_at) << line << '\n' << stats;
+    EXPECT_LT(at, streams_at) << line << '\n' << stats;
+  }
 }
 
 TEST_F(QueryEngineTest, ParserErrors) {

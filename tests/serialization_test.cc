@@ -18,9 +18,11 @@
 #include "src/core/fixed_window.h"
 #include "src/core/histogram_io.h"
 #include "src/engine/managed_stream.h"
+#include "src/engine/query_engine.h"
 #include "src/quantile/gk_summary.h"
 #include "src/sketch/fm_sketch.h"
 #include "src/stream/sliding_window.h"
+#include "src/util/fault.h"
 #include "src/util/framing.h"
 #include "src/util/random.h"
 #include "src/util/wal.h"
@@ -284,26 +286,19 @@ TEST(ManagedStreamSerializationTest, DroppedNonfiniteSurvivesRoundTrip) {
   EXPECT_EQ(twice->dropped_nonfinite(), 3);
 }
 
-// Stream payload layout (bytes before the window blob):
+// Stream payload layout:
 //   0..33   config through keep_distinct (8+8+8+1+8+1)
 //   34..42  build-mode fields (bool + f64)
 //   43..50  dropped_nonfinite (i64)
-//   51..58  degraded_builds (i64)
 //   ...     synopsis blobs (window / quantiles / distinct)
-//   tail    length-prefixed query-stats block: a u64 length followed by
-//           QueryStats::SerializedBytes() bytes
 //   tail    applied WAL LSN (i64)
-//   tail    length-prefixed publish-stats block
 // Only this version loads (EXPERIMENTS.md version policy).
 constexpr uint32_t kStreamMagic = 0x53484D53;  // "SHMS"
-constexpr uint32_t kStreamVersion = 7;
+constexpr uint32_t kStreamVersion = 8;
 
-// Bytes the stats block occupies near the end of the payload.
-constexpr size_t kStatsTailBytes = 8 + QueryStats::SerializedBytes();
-// Bytes the WAL-LSN field adds after that.
+constexpr size_t kDroppedAt = 43;
+// Bytes the WAL-LSN field occupies at the end of the payload.
 constexpr size_t kWalTailBytes = 8;
-// Bytes the publish-stats block adds after that.
-constexpr size_t kPublishTailBytes = 8 + PublishStats::SerializedBytes();
 
 // The payload of a freshly appended stream's snapshot.
 std::string SamplePayload() {
@@ -324,55 +319,40 @@ TEST(ManagedStreamSerializationTest, OlderVersionsAreRejectedAsUnsupported) {
   ASSERT_TRUE(
       ManagedStream::Restore(WrapFrame(kStreamMagic, kStreamVersion, payload))
           .ok());
+  // A well-formed v7 frame: v7 also carried telemetry, all zero here — a
+  // degraded_builds i64 after dropped_nonfinite, a length-prefixed per-verb
+  // stats block (20 verbs) before the WAL LSN and a length-prefixed
+  // publish-stats block after it.
+  ByteWriter stats_block;
+  stats_block.PutU32(20);  // verbs
+  stats_block.PutU32(24);  // latency buckets
+  for (int i = 0; i < 20 * (3 + 24); ++i) stats_block.PutI64(0);
+  ByteWriter publish_block;
+  publish_block.PutU32(4);  // scalar counters
+  publish_block.PutU32(24);
+  for (int i = 0; i < 4 + 24; ++i) publish_block.PutI64(0);
+  ByteWriter stats_tail, publish_tail;
+  stats_tail.PutLengthPrefixed(stats_block.bytes());
+  publish_tail.PutLengthPrefixed(publish_block.bytes());
+  const size_t blobs_at = kDroppedAt + 8;
+  const size_t lsn_at = payload.size() - kWalTailBytes;
+  const std::string v7_payload =
+      payload.substr(0, blobs_at) + std::string(8, '\0') +  // degraded_builds
+      payload.substr(blobs_at, lsn_at - blobs_at) + stats_tail.bytes() +
+      payload.substr(lsn_at) + publish_tail.bytes();
   // A well-formed v6 frame: v6 carried a keep_lifetime flag after eps (here
-  // false, so no lifetime blob follows) and is otherwise the current layout.
-  std::string v6_payload = payload;
+  // false, so no lifetime blob follows) and is otherwise the v7 layout.
+  std::string v6_payload = v7_payload;
   v6_payload.insert(24, 1, '\0');
   for (uint32_t version = 1; version < kStreamVersion; ++version) {
-    const auto restored =
-        ManagedStream::Restore(WrapFrame(kStreamMagic, version, v6_payload));
+    const auto restored = ManagedStream::Restore(WrapFrame(
+        kStreamMagic, version, version == 7 ? v7_payload : v6_payload));
     ASSERT_FALSE(restored.ok()) << "version " << version;
     EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(restored.status().message().find("unsupported"),
               std::string::npos)
         << restored.status();
   }
-}
-
-TEST(ManagedStreamSerializationTest, StatsSurviveSnapshotRoundTrip) {
-  StreamConfig config;
-  config.window_size = 32;
-  config.num_buckets = 4;
-  ManagedStream stream = ManagedStream::Create(config).value();
-  for (double v : TestSeries(40)) stream.Append(v);
-  stream.stats().Record(QueryVerb::kSum, /*ok=*/true, /*nanos=*/700);
-  stream.stats().Record(QueryVerb::kSum, /*ok=*/true, /*nanos=*/90000);
-  stream.stats().Record(QueryVerb::kQuantile, /*ok=*/false, /*nanos=*/50);
-
-  auto restored = ManagedStream::Restore(stream.Snapshot());
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  const VerbCounters sums = restored->stats().Read(QueryVerb::kSum);
-  EXPECT_EQ(sums.count, 2);
-  EXPECT_EQ(sums.errors, 0);
-  EXPECT_EQ(sums.total_nanos, 90700);
-  const VerbCounters quantiles = restored->stats().Read(QueryVerb::kQuantile);
-  EXPECT_EQ(quantiles.count, 1);
-  EXPECT_EQ(quantiles.errors, 1);
-}
-
-TEST(ManagedStreamSerializationTest, NegativeStatsTailIsRejected) {
-  std::string payload = SamplePayload();
-  ASSERT_GT(payload.size(),
-            kStatsTailBytes + kWalTailBytes + kPublishTailBytes);
-  // Force the first counter in the stats block (SUM's count, right after the
-  // u64 length and the two u32 layout constants) to -1.
-  const size_t counter_at = payload.size() - kPublishTailBytes -
-                            kWalTailBytes - kStatsTailBytes + 8 + 4 + 4;
-  for (size_t i = 0; i < 8; ++i) payload[counter_at + i] = '\xff';
-  const auto restored =
-      ManagedStream::Restore(WrapFrame(kStreamMagic, kStreamVersion, payload));
-  EXPECT_FALSE(restored.ok());
-  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ManagedStreamSerializationTest, WalLsnTailRoundTripsAndFloors) {
@@ -399,8 +379,8 @@ TEST(ManagedStreamSerializationTest, WalLsnTailRoundTripsAndFloors) {
 
 TEST(ManagedStreamSerializationTest, NegativeWalLsnTailIsRejected) {
   std::string payload = SamplePayload();
-  ASSERT_GT(payload.size(), kWalTailBytes + kPublishTailBytes);
-  const size_t lsn_at = payload.size() - kPublishTailBytes - kWalTailBytes;
+  ASSERT_GT(payload.size(), kWalTailBytes);
+  const size_t lsn_at = payload.size() - kWalTailBytes;
   for (size_t i = 0; i < kWalTailBytes; ++i) {
     payload[lsn_at + i] = '\xff';  // lsn = -1
   }
@@ -410,50 +390,52 @@ TEST(ManagedStreamSerializationTest, NegativeWalLsnTailIsRejected) {
   EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ManagedStreamSerializationTest, PublishStatsSurviveSnapshotRoundTrip) {
-  StreamConfig config;
-  config.window_size = 32;
-  config.num_buckets = 4;
-  ManagedStream stream = ManagedStream::Create(config).value();
-  for (double v : TestSeries(40)) stream.Append(v);
-  stream.publish_stats().RecordPublish(/*nanos=*/1500, /*staleness_us=*/250);
-  stream.publish_stats().RecordPublish(/*nanos=*/90000, /*staleness_us=*/40);
-  stream.publish_stats().RecordSkipped();
-  const PublishCounters before = stream.publish_stats().Read();
-
-  auto restored = ManagedStream::Restore(stream.Snapshot());
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  const PublishCounters after = restored->publish_stats().Read();
-  // Restore itself publishes once more on top of the carried counters.
-  EXPECT_GE(after.publishes, before.publishes);
-  EXPECT_EQ(after.skipped, before.skipped);
-  EXPECT_GE(after.max_staleness_us, before.max_staleness_us);
-  EXPECT_GE(after.total_nanos, before.total_nanos);
-}
-
-TEST(ManagedStreamSerializationTest, NegativePublishTailIsRejected) {
+TEST(ManagedStreamSerializationTest, NegativeCountersAreRejected) {
   std::string payload = SamplePayload();
-  ASSERT_GT(payload.size(), kPublishTailBytes);
-  // Force the publishes counter (right after the u64 length and the two u32
-  // layout constants of the publish block) to -1.
-  const size_t counter_at = payload.size() - kPublishTailBytes + 8 + 4 + 4;
-  for (size_t i = 0; i < 8; ++i) payload[counter_at + i] = '\xff';
+  for (size_t i = 0; i < 8; ++i) payload[kDroppedAt + i] = '\xff';  // -1
   const auto restored =
       ManagedStream::Restore(WrapFrame(kStreamMagic, kStreamVersion, payload));
   EXPECT_FALSE(restored.ok());
   EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ManagedStreamSerializationTest, NegativeCountersAreRejected) {
-  const std::string sample = SamplePayload();
-  for (const size_t offset : {43u, 51u}) {  // dropped / degraded_builds
-    std::string payload = sample;
-    for (size_t i = 0; i < 8; ++i) payload[offset + i] = '\xff';  // -1
-    const auto restored = ManagedStream::Restore(
-        WrapFrame(kStreamMagic, kStreamVersion, payload));
-    EXPECT_FALSE(restored.ok()) << "offset " << offset;
-    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+// Telemetry lives for the process lifetime and never reaches disk: publish
+// stats, per-verb stats and degraded builds leave the SHMS bytes unchanged,
+// and a LOADed stream starts with no statistics.
+TEST(ManagedStreamSerializationTest, TelemetryNeverReachesDisk) {
+  QueryEngine engine;
+  StreamConfig config;
+  config.window_size = 32;
+  config.num_buckets = 4;
+  ASSERT_TRUE(engine.CreateStream("s", config).ok());
+  ASSERT_TRUE(engine.AppendBatch("s", TestSeries(40)).ok());
+  const StreamHandle handle = engine.Stream("s").value();
+  const std::string before = handle.stream().Snapshot();
+
+  handle.stream().publish_stats().RecordPublish(/*nanos=*/1500,
+                                                /*staleness_us=*/250);
+  handle.stream().publish_stats().RecordSkipped();
+  ASSERT_TRUE(engine.Execute("SUM s 0 10").ok());
+  {
+    fault::ScopedFault expire("deadline.expire");
+    const auto built = engine.Execute("BUILD s");
+    ASSERT_TRUE(built.ok()) << built.status();
+    EXPECT_NE(built->find("degraded"), std::string::npos) << *built;
   }
+  EXPECT_EQ(handle.stats().Read(QueryVerb::kSum).count, 1);
+  EXPECT_EQ(handle.stats().Read(QueryVerb::kBuild).count, 1);
+  EXPECT_EQ(handle.stream().degraded_builds(), 1);
+  EXPECT_EQ(handle.stream().Snapshot(), before);
+
+  const TestDir scratch;
+  const std::string path = scratch.File("s.ckpt");
+  ASSERT_TRUE(engine.Execute("SAVE " + path).ok());
+  ASSERT_TRUE(engine.Execute("LOAD " + path).ok());
+  EXPECT_EQ(engine.Execute("STATS s").value(),
+            "no statistics recorded for 's'");
+  EXPECT_EQ(engine.Stream("s").value().stream().degraded_builds(), 0);
+  const std::string after = engine.Execute("STATS s").value();
+  EXPECT_EQ(after.rfind("STATS count=1 errors=0", 0), 0u) << after;
 }
 
 // ---------------------------------------------------------------------------
