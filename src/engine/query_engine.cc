@@ -1,7 +1,5 @@
 #include "src/engine/query_engine.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -22,6 +20,7 @@
 #include "src/engine/wal_records.h"
 #include "src/util/backoff.h"
 #include "src/util/deadline.h"
+#include "src/util/file_system.h"
 #include "src/util/fileio.h"
 #include "src/util/framing.h"
 #include "src/util/governor.h"
@@ -211,7 +210,8 @@ struct QueryEngine::WalState {
   std::thread checkpointer;
   std::atomic<int64_t> checkpoints{0};
 
-  std::string CheckpointPath() const { return dir + "/checkpoint.shcp"; }
+  static constexpr char kCheckpointName[] = "checkpoint.shcp";
+  std::string CheckpointPath() const { return dir + "/" + kCheckpointName; }
 
   ~WalState() {
     // CloseWal joins on the normal path; this is the backstop so the thread
@@ -825,7 +825,10 @@ Result<QueryEngine::WalRecoveryReport> QueryEngine::OpenWal(
   // bounded by what was truncated below the bad checkpoint.
   const std::string checkpoint_path = state->CheckpointPath();
   int64_t checkpoint_floor = 0;
-  if (::access(checkpoint_path.c_str(), F_OK) == 0) {
+  STREAMHIST_ASSIGN_OR_RETURN(const std::vector<std::string> names,
+                              fs::Default().List(dir));
+  if (std::find(names.begin(), names.end(), WalState::kCheckpointName) !=
+      names.end()) {
     int64_t header_lsn = 0;
     Result<CheckpointReport> loaded =
         LoadCheckpointFrom(checkpoint_path, &header_lsn);

@@ -24,6 +24,7 @@
 #include "src/engine/wal_records.h"
 #include "src/server/replication.h"
 #include "src/server/tcp_server.h"
+#include "src/util/fileio.h"
 #include "src/util/wal.h"
 
 namespace streamhist {
@@ -109,13 +110,8 @@ int Usage(std::ostream& err) {
 }
 
 Result<Histogram> LoadHistogram(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    return Status::IOError("cannot open histogram file: " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return DeserializeHistogram(buffer.str());
+  STREAMHIST_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
+  return DeserializeHistogram(bytes);
 }
 
 int Generate(const std::map<std::string, std::string>& flags,
@@ -200,16 +196,10 @@ int Build(const std::map<std::string, std::string>& flags, std::ostream& out,
     return 2;
   }
 
-  std::ofstream file(flags.at("out"), std::ios::binary);
-  if (!file.is_open()) {
-    err << "build: cannot write " << flags.at("out") << "\n";
-    return 1;
-  }
   const std::string bytes = SerializeHistogram(histogram);
-  file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  file.flush();
-  if (!file.good()) {
-    err << "build: write failed\n";
+  if (const Status written = AtomicWriteFile(flags.at("out"), bytes);
+      !written.ok()) {
+    err << "build: " << written << "\n";
     return 1;
   }
   out << "built " << algorithm << " histogram: " << histogram.num_buckets()

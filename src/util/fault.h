@@ -25,7 +25,9 @@ namespace fault {
 /// about names outside that registry (a typo would otherwise silently disarm
 /// a chaos run) but still arms them, so tests can use scratch names.
 ///
-/// Points currently wired:
+/// Points currently wired (fileio.* in util/fileio.cc, which every
+/// checkpoint save and load and the CLI's histogram files go through;
+/// wal.* in util/wal.cc):
 ///   fileio.short_write      AtomicWriteFile persists only half the bytes,
 ///                           then fails before renaming (torn write / ENOSPC)
 ///   fileio.fsync            fsync of the temp file reports failure
@@ -33,6 +35,8 @@ namespace fault {
 ///                           fire budget so a bounded retry loop self-heals
 ///   fileio.rename           the atomic rename reports failure
 ///   fileio.read.bitflip     ReadFileToString flips one bit of the middle byte
+///                           (checkpoint loads and the WAL recovery scan;
+///                           Wal::ReadTail reads past its cursor directly)
 ///   fileio.read.truncate    ReadFileToString drops the trailing half
 ///   deadline.expire         ExecContext::ShouldStop reports expiry
 ///                           (util/deadline.h) — cancels DP ladder rungs

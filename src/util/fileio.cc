@@ -1,123 +1,73 @@
 #include "src/util/fileio.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
-
-#include <fcntl.h>
-#include <unistd.h>
+#include <memory>
 
 #include "src/util/fault.h"
+#include "src/util/file_system.h"
 
 namespace streamhist {
 
 namespace {
 
-Status Errno(const std::string& op, const std::string& path) {
-  std::ostringstream msg;
-  msg << op << " failed for " << path << ": " << std::strerror(errno);
-  return Status::IOError(msg.str());
-}
-
 Status InjectedFault(const char* point) {
   return Status::IOError(std::string("injected fault: ") + point);
 }
 
-// Writes all of `bytes` to `fd`, looping over partial writes.
-bool WriteAll(int fd, std::string_view bytes) {
-  size_t written = 0;
-  while (written < bytes.size()) {
-    const ssize_t n =
-        ::write(fd, bytes.data() + written, bytes.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    written += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-// fsync of the containing directory so the rename itself is durable.
-Status SyncParentDir(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash == 0 ? 1 : slash);
-  const int dirfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dirfd < 0) return Errno("open directory", dir);
-  const int rc = ::fsync(dirfd);
-  ::close(dirfd);
-  if (rc != 0) return Errno("fsync directory", dir);
-  return Status::OK();
-}
-
-}  // namespace
-
-Status AtomicWriteFile(const std::string& path, std::string_view bytes) {
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return Errno("open", tmp);
-
-  if (fault::Triggered("fileio.short_write")) {
-    // Simulate a crash / ENOSPC mid-write: half the bytes land, the temp
-    // file is abandoned, the destination is untouched.
-    (void)WriteAll(fd, bytes.substr(0, bytes.size() / 2));
-    ::close(fd);
-    return InjectedFault("fileio.short_write");
-  }
-  if (!WriteAll(fd, bytes)) {
-    const Status status = Errno("write", tmp);
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return status;
-  }
+// Writes `bytes` to the temp file `file`, makes them durable, and renames
+// the temp file over `path`. The handle is closed before the rename.
+Status WriteSyncRename(fs::FileSystem& disk, std::unique_ptr<fs::File> file,
+                       std::string_view bytes, const std::string& path) {
+  const std::string tmp = file->path();
+  STREAMHIST_RETURN_NOT_OK(file->Append(bytes));
   if (fault::Triggered("fileio.fsync")) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
     return InjectedFault("fileio.fsync");
   }
   // Same failure as fileio.fsync, separately named so a finite fire budget
   // ("fileio.fsync.transient:2") can model a fault that heals while a retry
   // loop (QueryEngine::SaveCheckpoint) is still willing to try again.
   if (fault::Triggered("fileio.fsync.transient")) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
     return InjectedFault("fileio.fsync.transient");
   }
-  if (::fsync(fd) != 0) {
-    const Status status = Errno("fsync", tmp);
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return status;
-  }
-  if (::close(fd) != 0) {
-    ::unlink(tmp.c_str());
-    return Errno("close", tmp);
-  }
+  STREAMHIST_RETURN_NOT_OK(file->Sync());
+  file.reset();
   if (fault::Triggered("fileio.rename")) {
-    ::unlink(tmp.c_str());
     return InjectedFault("fileio.rename");
   }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const Status status = Errno("rename", tmp);
-    ::unlink(tmp.c_str());
-    return status;
+  return disk.Rename(tmp, path);
+}
+
+}  // namespace
+
+Status AtomicWriteFile(const std::string& path, std::string_view bytes) {
+  fs::FileSystem& disk = fs::Default();
+  const std::string tmp = path + ".tmp";
+  STREAMHIST_ASSIGN_OR_RETURN(
+      std::unique_ptr<fs::File> file,
+      disk.Open(tmp, fs::OpenMode::kCreateTruncate));
+  if (fault::Triggered("fileio.short_write")) {
+    // Simulate a crash / ENOSPC mid-write: half the bytes land, the temp
+    // file is abandoned, the destination is untouched.
+    (void)file->Append(bytes.substr(0, bytes.size() / 2));
+    return InjectedFault("fileio.short_write");
   }
-  return SyncParentDir(path);
+  if (Status s = WriteSyncRename(disk, std::move(file), bytes, path); !s.ok()) {
+    (void)disk.Unlink(tmp);
+    return s;
+  }
+  // The rename itself is durable only once the directory is.
+  return disk.SyncDir(fs::DirName(path));
 }
 
 Result<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
+  Result<std::unique_ptr<fs::File>> file =
+      fs::Default().Open(path, fs::OpenMode::kRead);
+  if (!file.ok()) {
     return Status::IOError("cannot open for reading: " + path);
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::IOError("read failed: " + path);
-  std::string bytes = buffer.str();
+  std::string bytes;
+  if (!(*file)->ReadAt(0, &bytes).ok()) {
+    return Status::IOError("read failed: " + path);
+  }
   if (!bytes.empty() && fault::Triggered("fileio.read.bitflip")) {
     bytes[bytes.size() / 2] ^= 0x08;  // deterministic single-bit flip
   }

@@ -15,8 +15,10 @@ namespace streamhist {
 /// new complete file — never a torn mix — which is the invariant the
 /// checkpoint subsystem's crash-safety guarantee rests on.
 ///
+/// Both functions here go through fs::Default() (util/file_system.h).
+///
 /// Fault points (util/fault.h): fileio.short_write, fileio.fsync,
-/// fileio.rename.
+/// fileio.fsync.transient, fileio.rename.
 Status AtomicWriteFile(const std::string& path, std::string_view bytes);
 
 /// Reads the whole file into a string. Fault points: fileio.read.bitflip,

@@ -1,20 +1,15 @@
 #include "src/util/wal.h"
 
-#include <dirent.h>
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
+#include <memory>
 #include <sstream>
 #include <utility>
 
 #include "src/util/fault.h"
+#include "src/util/file_system.h"
 #include "src/util/fileio.h"
 #include "src/util/framing.h"
 #include "src/util/governor.h"
@@ -32,16 +27,10 @@ constexpr uint32_t kRecordVersion = 1;
 // framing.h layout: magic u32 | version u32 | payload_len u64 | payload |
 // crc32c u32 — a 16-byte head and a 4-byte trailer around the payload.
 constexpr size_t kFrameHeadBytes = 16;
-constexpr size_t kFrameOverhead = 20;
+constexpr size_t kFrameOverhead = kFrameHeadBytes + 4;
 // Fixed governor charge on top of the active segment: scan buffer slack
 // and bookkeeping.
 constexpr int64_t kGovernorSlackBytes = 64 * 1024;
-
-std::string Errno(const char* op, const std::string& path) {
-  std::ostringstream os;
-  os << op << " failed for '" << path << "': " << std::strerror(errno);
-  return os.str();
-}
 
 std::string SegmentPath(const std::string& dir, int64_t first_lsn) {
   char name[40];
@@ -49,62 +38,86 @@ std::string SegmentPath(const std::string& dir, int64_t first_lsn) {
   return dir + "/" + name;
 }
 
-Status SyncDir(const std::string& dir) {
-  int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd < 0) return Status::IOError(Errno("open", dir));
-  const int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0) return Status::IOError(Errno("fsync", dir));
-  return Status::OK();
-}
-
-Status WriteAllFd(int fd, std::string_view bytes, const std::string& path) {
-  size_t done = 0;
-  while (done < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(Errno("write", path));
-    }
-    done += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-uint32_t LoadU32(const char* p) {
-  uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-uint64_t LoadU64(const char* p) {
-  uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
 // Lists wal-*.seg files in `dir`, sorted by name (zero-padded first LSN, so
 // name order is LSN order).
 Result<std::vector<std::string>> ListSegments(const std::string& dir) {
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return Status::IOError(Errno("opendir", dir));
-  std::vector<std::string> names;
-  while (struct dirent* ent = ::readdir(d)) {
-    const std::string_view name(ent->d_name);
-    if (name.size() > 8 && name.substr(0, 4) == "wal-" &&
-        name.substr(name.size() - 4) == ".seg") {
-      names.emplace_back(name);
-    }
-  }
-  ::closedir(d);
+  STREAMHIST_ASSIGN_OR_RETURN(std::vector<std::string> names,
+                              fs::Default().List(dir));
+  std::erase_if(names, [](std::string_view name) {
+    return name.size() <= 8 || name.substr(0, 4) != "wal-" ||
+           name.substr(name.size() - 4) != ".seg";
+  });
   std::sort(names.begin(), names.end());
   return names;
 }
 
+// What DecodeFrame found at the start of its input.
+enum class FrameCheck {
+  kWhole,   // a complete frame whose CRC matches
+  kCrcBad,  // head and declared length intact, CRC mismatch
+  kShort,   // too few bytes, an unknown magic, or a length past the end
+};
+
+struct DecodedFrame {
+  FrameCheck check = FrameCheck::kShort;
+  uint32_t magic = 0;
+  uint32_t version = 0;
+  std::string_view payload;
+  size_t bytes = 0;  // whole frame length (0 when kShort)
+};
+
+// The one frame decoder behind the recovery scan and ReadTail. It is
+// hand-rolled rather than framing.h's ReadFrame, whose resync advances even
+// on short frames and would blur the torn-tail / interior-rot distinction
+// both callers classify on.
+DecodedFrame DecodeFrame(std::string_view data) {
+  DecodedFrame frame;
+  ByteReader reader(data);
+  uint32_t magic = 0;
+  uint32_t version = 0;
+  uint64_t len = 0;
+  uint32_t stored_crc = 0;
+  if (!reader.ReadU32(&magic) || !reader.ReadU32(&version) ||
+      !reader.ReadU64(&len) ||
+      (magic != kSegmentMagic && magic != kRecordMagic) ||
+      !reader.Skip(len) || !reader.ReadU32(&stored_crc)) {
+    return frame;
+  }
+  frame.magic = magic;
+  frame.version = version;
+  frame.payload = data.substr(kFrameHeadBytes, len);
+  frame.bytes = reader.position();
+  frame.check = Crc32c(data.substr(0, kFrameHeadBytes + len)) == stored_crc
+                    ? FrameCheck::kWhole
+                    : FrameCheck::kCrcBad;
+  return frame;
+}
+
+// The LSN and caller bytes of a whole record frame; false when its version
+// or payload is malformed.
+bool ParseRecord(const DecodedFrame& frame, int64_t* lsn,
+                 std::string_view* body) {
+  ByteReader reader(frame.payload);
+  uint64_t raw = 0;
+  if (frame.version != kRecordVersion || !reader.ReadU64(&raw)) return false;
+  *lsn = static_cast<int64_t>(raw);
+  *body = reader.Rest();
+  return true;
+}
+
+// Cuts a torn tail off `path` at `size` bytes and makes the cut durable.
+// Open creates a fresh active segment right after, which seals this one: a
+// cut that could still come undone in a crash would bring the torn bytes
+// back as interior rot in a sealed segment.
+Status CutTornTail(const std::string& path, size_t size) {
+  STREAMHIST_ASSIGN_OR_RETURN(std::unique_ptr<fs::File> file,
+                              fs::Default().Open(path, fs::OpenMode::kAppend));
+  STREAMHIST_RETURN_NOT_OK(file->Truncate(static_cast<int64_t>(size)));
+  return file->Sync();
+}
+
 // Shared scan core behind Open (repair=true), Scan, and Replay. Walks every
-// segment in LSN order with a hand-rolled frame parser (ReadFrame's resync
-// advances even on short frames, which would blur the torn-tail /
-// interior-rot distinction this classification depends on):
+// segment in LSN order through DecodeFrame:
 //
 //   * a CRC-bad frame whose head and declared length are intact is interior
 //     rot — skipped whole, counted, scan continues (resynchronization);
@@ -134,56 +147,33 @@ Status ScanImpl(const std::string& dir, bool repair, int64_t from_lsn,
     SegmentInfo info;
     info.path = path;
     ++out.segments;
-    const char* data = bytes.data();
-    const size_t size = bytes.size();
+    const std::string_view data(bytes);
     size_t pos = 0;
     bool at_header = true;
-    while (pos < size) {
-      const size_t rest = size - pos;
-      bool structural = rest < kFrameOverhead;
-      uint64_t payload_len = 0;
-      if (!structural) {
-        const uint32_t magic = LoadU32(data + pos);
-        payload_len = LoadU64(data + pos + 8);
-        if (magic != (at_header ? kSegmentMagic : kRecordMagic) ||
-            payload_len > rest - kFrameOverhead) {
-          structural = true;
-        }
-      }
-      if (structural) {
+    while (pos < data.size()) {
+      const DecodedFrame frame = DecodeFrame(data.substr(pos));
+      if (frame.check == FrameCheck::kShort ||
+          frame.magic != (at_header ? kSegmentMagic : kRecordMagic)) {
         if (last_segment) {
-          out.torn_bytes += static_cast<int64_t>(rest);
+          out.torn_bytes += static_cast<int64_t>(data.size() - pos);
           out.tail_truncated = true;
-          if (repair) {
-            int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
-            if (fd < 0) return Status::IOError(Errno("open", path));
-            const int rc = ::ftruncate(fd, static_cast<off_t>(pos));
-            ::close(fd);
-            if (rc != 0) return Status::IOError(Errno("ftruncate", path));
-          }
+          if (repair) STREAMHIST_RETURN_NOT_OK(CutTornTail(path, pos));
         } else {
           ++out.corrupt_records;
         }
         break;
       }
-      const size_t frame_bytes = kFrameOverhead + payload_len;
-      const std::string_view covered(data + pos, kFrameHeadBytes + payload_len);
-      const uint32_t stored_crc = LoadU32(data + pos + kFrameHeadBytes +
-                                          static_cast<size_t>(payload_len));
-      const uint32_t version = LoadU32(data + pos + 4);
-      const std::string_view payload(data + pos + kFrameHeadBytes,
-                                     static_cast<size_t>(payload_len));
       const bool header = at_header;
       at_header = false;
-      pos += frame_bytes;
-      if (Crc32c(covered) != stored_crc) {
+      pos += frame.bytes;
+      if (frame.check == FrameCheck::kCrcBad) {
         ++out.corrupt_records;
         continue;
       }
       if (header) {
-        ByteReader hp(payload);
+        ByteReader hp(frame.payload);
         uint64_t first = 0;
-        if (version == kSegmentVersion && hp.ReadU64(&first)) {
+        if (frame.version == kSegmentVersion && hp.ReadU64(&first)) {
           info.first_lsn = static_cast<int64_t>(first);
           info.max_lsn = info.first_lsn - 1;
           max_lsn = std::max(max_lsn, info.first_lsn - 1);
@@ -192,19 +182,18 @@ Status ScanImpl(const std::string& dir, bool repair, int64_t from_lsn,
         }
         continue;
       }
-      ByteReader rp(payload);
-      uint64_t lsn = 0;
-      if (version != kRecordVersion || !rp.ReadU64(&lsn)) {
+      int64_t lsn = 0;
+      std::string_view body;
+      if (!ParseRecord(frame, &lsn, &body)) {
         ++out.corrupt_records;
         continue;
       }
       ++out.records;
-      const int64_t slsn = static_cast<int64_t>(lsn);
-      info.max_lsn = std::max(info.max_lsn, slsn);
-      max_lsn = std::max(max_lsn, slsn);
-      if (out.first_lsn == 0 || slsn < out.first_lsn) out.first_lsn = slsn;
-      if (fn != nullptr && *fn && slsn >= from_lsn) {
-        STREAMHIST_RETURN_NOT_OK((*fn)(slsn, rp.Rest()));
+      info.max_lsn = std::max(info.max_lsn, lsn);
+      max_lsn = std::max(max_lsn, lsn);
+      if (out.first_lsn == 0 || lsn < out.first_lsn) out.first_lsn = lsn;
+      if (fn != nullptr && *fn && lsn >= from_lsn) {
+        STREAMHIST_RETURN_NOT_OK((*fn)(lsn, body));
       }
     }
     infos.push_back(std::move(info));
@@ -294,8 +283,11 @@ Wal::Wal(std::string dir, const Options& options)
 Result<std::unique_ptr<Wal>> Wal::Open(const std::string& dir,
                                        const Options& options,
                                        OpenReport* report) {
-  if (::mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST) {
-    return Status::IOError(Errno("mkdir", dir));
+  STREAMHIST_ASSIGN_OR_RETURN(const bool created, fs::Default().MakeDir(dir));
+  if (created) {
+    // A new log directory is an entry in its parent; until the parent is
+    // synced, a crash may take the directory and every acked record in it.
+    STREAMHIST_RETURN_NOT_OK(fs::Default().SyncDir(fs::DirName(dir)));
   }
   const int64_t charge = options.segment_bytes + kGovernorSlackBytes;
   if (!governor::TryCharge(charge)) {
@@ -341,57 +333,40 @@ Wal::~Wal() {
     durable_cv_.notify_all();
   }
   if (flusher_.joinable()) flusher_.join();
-  if (fd_ >= 0) {
-    // Best-effort final durability; a failure here has no one to report to
-    // (shutdown paths that care call Flush() first for error visibility).
-    if (unsynced_bytes_ > 0) ::fsync(fd_);
-    ::close(fd_);
-    fd_ = -1;
-  }
+  // Best-effort final durability; a failure here has no one to report to
+  // (shutdown paths that care call Flush() first for error visibility).
+  if (active_ != nullptr && unsynced_bytes_ > 0) (void)active_->Sync();
   if (governor_charge_ > 0) governor::Release(governor_charge_);
 }
 
 Status Wal::OpenActiveSegment(int64_t first_lsn) {
+  fs::FileSystem& disk = fs::Default();
   const std::string path = SegmentPath(dir_, first_lsn);
-  const int flags = O_WRONLY | O_CLOEXEC | O_CREAT | O_EXCL;
-  int fd = ::open(path.c_str(), flags, 0666);
-  if (fd < 0 && errno == EEXIST) {
-    // A leftover segment with this exact first LSN holds no live records
-    // (a record would have advanced next_lsn past it), so replacing it is
-    // always safe. Typical cause: crash right after a rotation wrote only
-    // the header.
-    if (::unlink(path.c_str()) != 0) {
-      return Status::IOError(Errno("unlink", path));
-    }
-    // The scan sealed that leftover under this very path. Drop the stale
-    // entry, or TruncateBefore (its max_lsn is first_lsn - 1, below any
-    // floor) would unlink the file we are about to append through — acked
-    // records silently diverted into an orphaned inode.
-    sealed_.erase(std::remove_if(sealed_.begin(), sealed_.end(),
-                                 [&](const SegmentInfo& seg) {
-                                   return seg.path == path;
-                                 }),
-                  sealed_.end());
-    fd = ::open(path.c_str(), flags, 0666);
-  }
-  if (fd < 0) return Status::IOError(Errno("open", path));
+  // A segment already named for this first LSN holds no live records (a
+  // record would have advanced next_lsn past it), so emptying and reusing
+  // it is always safe. Typical cause: crash right after a rotation wrote
+  // only the header. Drop its sealed entry too, or TruncateBefore (its
+  // max_lsn is first_lsn - 1, below any floor) would unlink the file we are
+  // about to append through — acked records silently diverted into an
+  // orphaned inode.
+  std::erase_if(sealed_,
+                [&](const SegmentInfo& seg) { return seg.path == path; });
+  STREAMHIST_ASSIGN_OR_RETURN(std::unique_ptr<fs::File> file,
+                              disk.Open(path, fs::OpenMode::kCreateTruncate));
   ByteWriter header;
   header.PutU64(static_cast<uint64_t>(first_lsn));
   const std::string frame =
       WrapFrame(kSegmentMagic, kSegmentVersion, header.bytes());
-  if (Status s = WriteAllFd(fd, frame, path); !s.ok()) {
-    ::close(fd);
-    ::unlink(path.c_str());
-    return s;
+  Status status = file->Append(frame);
+  if (status.ok()) status = disk.SyncDir(dir_);
+  if (!status.ok()) {
+    file.reset();
+    (void)disk.Unlink(path);
+    return status;
   }
-  if (Status s = SyncDir(dir_); !s.ok()) {
-    ::close(fd);
-    ::unlink(path.c_str());
-    return s;
-  }
-  if (fd_ >= 0) ::close(fd_);
-  fd_ = fd;
-  active_path_ = path;
+  // The outgoing handle closes once a concurrent unlocked fsync (FsyncLocked)
+  // is done with it.
+  active_ = std::move(file);
   active_first_lsn_ = first_lsn;
   active_bytes_ = static_cast<int64_t>(frame.size());
   unsynced_bytes_ += static_cast<int64_t>(frame.size());
@@ -404,78 +379,69 @@ Status Wal::SealAndRotateLocked() {
   }
   // Seal = make the outgoing segment fully durable, so TruncateBefore can
   // reason about sealed segments without consulting fsync state.
-  if (::fsync(fd_) != 0) return Status::IOError(Errno("fsync", active_path_));
+  STREAMHIST_RETURN_NOT_OK(active_->Sync());
   ++stats_.fsyncs;
   durable_lsn_ = std::max(durable_lsn_, written_lsn_);
   unsynced_bytes_ = 0;
+  syncing_bytes_ = 0;
   // Invalidate any covered_bytes a concurrently unlocked FsyncLocked
   // captured: from here on unsynced_bytes_ counts the NEW segment only.
   ++rotation_epoch_;
   durable_cv_.notify_all();
-  const SegmentInfo outgoing{active_path_, active_first_lsn_, written_lsn_};
-  // OpenActiveSegment closes the old fd only after the new segment is up,
-  // so a failure leaves the current segment writable (retried next append).
+  const SegmentInfo outgoing{active_->path(), active_first_lsn_,
+                             written_lsn_};
+  // OpenActiveSegment replaces the old handle only after the new segment is
+  // up, so a failure leaves the current segment writable (retried next
+  // append).
   STREAMHIST_RETURN_NOT_OK(OpenActiveSegment(next_lsn_));
-  sealed_.push_back(outgoing);
+  // A segment rotated before its first record is the file just reused.
+  if (outgoing.path != active_->path()) sealed_.push_back(outgoing);
   ++stats_.segments_created;
   return Status::OK();
 }
 
-Status Wal::WriteFrameLocked(std::string_view frame) {
-  if (fault::Triggered("wal.append.short")) {
-    // Persist half the frame, then fail — the torn-write shape a crash or
-    // ENOSPC leaves. Roll the file back so the in-memory offset stays true.
-    (void)WriteAllFd(fd_, frame.substr(0, frame.size() / 2), active_path_);
-    if (::ftruncate(fd_, static_cast<off_t>(active_bytes_)) != 0) {
-      return Status::IOError(Errno("ftruncate", active_path_));
-    }
-    ::lseek(fd_, static_cast<off_t>(active_bytes_), SEEK_SET);
-    return Status::IOError("injected fault: wal.append.short (torn write)");
-  }
-  if (Status s = WriteAllFd(fd_, frame, active_path_); !s.ok()) {
-    // Partial progress is possible; roll back to the last record boundary.
-    (void)::ftruncate(fd_, static_cast<off_t>(active_bytes_));
-    (void)::lseek(fd_, static_cast<off_t>(active_bytes_), SEEK_SET);
-    return s;
-  }
-  active_bytes_ += static_cast<int64_t>(frame.size());
-  unsynced_bytes_ += static_cast<int64_t>(frame.size());
-  return Status::OK();
-}
-
-Result<int64_t> Wal::Append(std::string_view payload) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (stop_ || fd_ < 0) return Status::FailedPrecondition("wal is closed");
+Status Wal::AppendRecordLocked(int64_t lsn, std::string_view payload) {
   if (active_bytes_ >= options_.segment_bytes) {
     STREAMHIST_RETURN_NOT_OK(SealAndRotateLocked());
   }
-  const int64_t lsn = next_lsn_;
   ByteWriter body;
   body.PutU64(static_cast<uint64_t>(lsn));
   body.Append(payload);
   const std::string frame =
       WrapFrame(kRecordMagic, kRecordVersion, body.bytes());
-  STREAMHIST_RETURN_NOT_OK(WriteFrameLocked(frame));
+  if (fault::Triggered("wal.append.short")) {
+    // Persist half the frame, then fail — the torn-write shape a crash or
+    // ENOSPC leaves. Roll the file back so the in-memory offset stays true.
+    (void)active_->Append(std::string_view(frame).substr(0, frame.size() / 2));
+    STREAMHIST_RETURN_NOT_OK(active_->Truncate(active_bytes_));
+    return Status::IOError("injected fault: wal.append.short (torn write)");
+  }
+  if (Status s = active_->Append(frame); !s.ok()) {
+    // Partial progress is possible; roll back to the last record boundary.
+    (void)active_->Truncate(active_bytes_);
+    return s;
+  }
+  active_bytes_ += static_cast<int64_t>(frame.size());
+  unsynced_bytes_ += static_cast<int64_t>(frame.size());
   next_lsn_ = lsn + 1;
   written_lsn_ = lsn;
   ++stats_.records;
   stats_.bytes += static_cast<int64_t>(frame.size());
+  return Status::OK();
+}
+
+Result<int64_t> Wal::Append(std::string_view payload) {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (stop_ || !active_) return Status::FailedPrecondition("wal is closed");
+  const int64_t lsn = next_lsn_;
+  STREAMHIST_RETURN_NOT_OK(AppendRecordLocked(lsn, payload));
   switch (options_.policy) {
-    case SyncPolicy::kAlways: {
-      requested_lsn_ = std::max(requested_lsn_, lsn);
+    case SyncPolicy::kAlways:
       ++stats_.sync_waits;
-      const int64_t my_error_seq = flush_error_seq_;
-      flush_cv_.notify_one();
-      durable_cv_.wait(lock, [&] {
-        return durable_lsn_ >= lsn || flush_error_seq_ != my_error_seq ||
-               stop_;
-      });
-      if (durable_lsn_ >= lsn) return lsn;
-      if (flush_error_seq_ != my_error_seq) return flush_error_;
-      return Status::FailedPrecondition("wal closed while awaiting fsync");
-    }
+      STREAMHIST_RETURN_NOT_OK(AwaitDurableLocked(lock, lsn));
+      return lsn;
     case SyncPolicy::kBytes:
-      if (unsynced_bytes_ >= options_.bytes_threshold) {
+      if (BytesDueLocked()) {
         requested_lsn_ = std::max(requested_lsn_, written_lsn_);
         flush_cv_.notify_one();
       }
@@ -500,7 +466,7 @@ Status Wal::ReadTail(TailCursor* cursor, int64_t max_bytes, TailBatch* out) {
     bool is_active = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      if (stop_ || fd_ < 0) return Status::FailedPrecondition("wal is closed");
+      if (stop_ || !active_) return Status::FailedPrecondition("wal is closed");
       cap = durable_lsn_;
       if (cursor->next_lsn > cap) return Status::OK();  // caught up
       const int64_t retained_floor =
@@ -517,7 +483,7 @@ Status Wal::ReadTail(TailCursor* cursor, int64_t max_bytes, TailBatch* out) {
         }
       }
       if (path.empty()) {
-        path = active_path_;
+        path = active_->path();
         chosen_max = written_lsn_;
         is_active = true;
       }
@@ -526,58 +492,40 @@ Status Wal::ReadTail(TailCursor* cursor, int64_t max_bytes, TailBatch* out) {
       cursor->segment_path = path;
       cursor->offset = 0;
     }
-    auto bytes_or = ReadFileToString(path);
-    if (!bytes_or.ok()) {
+    // Read only what lies past the cursor: a caught-up reader polls once
+    // per durable wake-up, so rereading the segment from byte 0 would cost
+    // O(segment) per record. An offset past the end reads nothing.
+    std::string bytes;
+    Result<std::unique_ptr<fs::File>> file =
+        fs::Default().Open(path, fs::OpenMode::kRead);
+    if (!file.ok() || !(*file)->ReadAt(cursor->offset, &bytes).ok()) {
       // The segment raced a checkpoint truncation out from under us; the
       // records it held are below the new retention floor.
       out->truncated_below = true;
       return Status::OK();
     }
-    const std::string& bytes = bytes_or.value();
-    const char* data = bytes.data();
-    const size_t size = bytes.size();
-    size_t pos = std::min(static_cast<size_t>(cursor->offset), size);
-    while (pos < size) {
-      const size_t rest = size - pos;
-      if (rest < kFrameOverhead) break;
-      const uint32_t magic = LoadU32(data + pos);
-      const uint64_t payload_len = LoadU64(data + pos + 8);
-      if ((magic != kRecordMagic && magic != kSegmentMagic) ||
-          payload_len > rest - kFrameOverhead) {
-        // Structurally short: an in-flight append's tail (active segment)
-        // or abandoned rot (sealed) — either way, stop parsing this file.
-        break;
-      }
-      const size_t frame_bytes = kFrameOverhead + payload_len;
-      const std::string_view covered(data + pos,
-                                     kFrameHeadBytes + payload_len);
-      const uint32_t stored_crc = LoadU32(data + pos + kFrameHeadBytes +
-                                          static_cast<size_t>(payload_len));
-      const uint32_t version = LoadU32(data + pos + 4);
-      const std::string_view payload(data + pos + kFrameHeadBytes,
-                                     static_cast<size_t>(payload_len));
-      if (Crc32c(covered) != stored_crc || magic == kSegmentMagic) {
-        // Headers carry no records; CRC-bad interiors are skipped exactly
-        // like Replay's resynchronization skips them.
-        pos += frame_bytes;
-        cursor->offset = static_cast<int64_t>(pos);
-        continue;
-      }
-      ByteReader rp(payload);
-      uint64_t lsn_u = 0;
-      if (version != kRecordVersion || !rp.ReadU64(&lsn_u)) {
-        pos += frame_bytes;
-        cursor->offset = static_cast<int64_t>(pos);
-        continue;
-      }
-      const int64_t lsn = static_cast<int64_t>(lsn_u);
-      if (lsn > cap) return Status::OK();  // not durable yet; reread later
-      pos += frame_bytes;
-      cursor->offset = static_cast<int64_t>(pos);
-      if (lsn < cursor->next_lsn) continue;  // already consumed
-      out->records.emplace_back(lsn, std::string(rp.Rest()));
+    const std::string_view data(bytes);
+    const int64_t base = cursor->offset;
+    size_t pos = 0;
+    while (pos < data.size()) {
+      const DecodedFrame frame = DecodeFrame(data.substr(pos));
+      // Structurally short: an in-flight append's tail (active segment) or
+      // abandoned rot (sealed) — either way, stop parsing this file.
+      if (frame.check == FrameCheck::kShort) break;
+      int64_t lsn = 0;
+      std::string_view body;
+      const bool record = frame.check == FrameCheck::kWhole &&
+                          frame.magic == kRecordMagic &&
+                          ParseRecord(frame, &lsn, &body);
+      if (record && lsn > cap) return Status::OK();  // not durable yet
+      pos += frame.bytes;
+      cursor->offset = base + static_cast<int64_t>(pos);
+      // Headers carry no records; CRC-bad interiors are skipped exactly like
+      // Replay's resynchronization skips them.
+      if (!record || lsn < cursor->next_lsn) continue;
+      out->records.emplace_back(lsn, std::string(body));
       cursor->next_lsn = lsn + 1;
-      emitted_bytes += static_cast<int64_t>(frame_bytes);
+      emitted_bytes += static_cast<int64_t>(frame.bytes);
       if (emitted_bytes >= max_bytes) return Status::OK();
     }
     if (is_active) return Status::OK();  // read everything on disk so far
@@ -591,31 +539,18 @@ Status Wal::ReadTail(TailCursor* cursor, int64_t max_bytes, TailBatch* out) {
 
 Status Wal::AppendAt(int64_t lsn, std::string_view payload) {
   std::unique_lock<std::mutex> lock(mu_);
-  if (stop_ || fd_ < 0) return Status::FailedPrecondition("wal is closed");
+  if (stop_ || !active_) return Status::FailedPrecondition("wal is closed");
   if (lsn < next_lsn_) {
     return Status::InvalidArgument(
         "AppendAt lsn " + std::to_string(lsn) + " is below next lsn " +
         std::to_string(next_lsn_));
   }
-  if (active_bytes_ >= options_.segment_bytes) {
-    STREAMHIST_RETURN_NOT_OK(SealAndRotateLocked());
-  }
-  ByteWriter body;
-  body.PutU64(static_cast<uint64_t>(lsn));
-  body.Append(payload);
-  const std::string frame =
-      WrapFrame(kRecordMagic, kRecordVersion, body.bytes());
-  STREAMHIST_RETURN_NOT_OK(WriteFrameLocked(frame));
-  next_lsn_ = lsn + 1;
-  written_lsn_ = lsn;
-  ++stats_.records;
-  stats_.bytes += static_cast<int64_t>(frame.size());
-  return Status::OK();
+  return AppendRecordLocked(lsn, payload);
 }
 
 Status Wal::AlignNextLsn(int64_t lsn) {
   std::unique_lock<std::mutex> lock(mu_);
-  if (stop_ || fd_ < 0) return Status::FailedPrecondition("wal is closed");
+  if (stop_ || !active_) return Status::FailedPrecondition("wal is closed");
   if (lsn < next_lsn_) {
     return Status::InvalidArgument(
         "AlignNextLsn cannot move backwards: lsn " + std::to_string(lsn) +
@@ -658,24 +593,33 @@ Status Wal::Flush() {
   const int64_t target = written_lsn_;
   if (durable_lsn_ >= target) return Status::OK();
   if (stop_) return Status::FailedPrecondition("wal is closed");
-  requested_lsn_ = std::max(requested_lsn_, target);
+  return AwaitDurableLocked(lock, target);
+}
+
+Status Wal::AwaitDurableLocked(std::unique_lock<std::mutex>& lock,
+                               int64_t lsn) {
+  requested_lsn_ = std::max(requested_lsn_, lsn);
   const int64_t my_error_seq = flush_error_seq_;
   flush_cv_.notify_one();
   durable_cv_.wait(lock, [&] {
-    return durable_lsn_ >= target || flush_error_seq_ != my_error_seq || stop_;
+    return durable_lsn_ >= lsn || flush_error_seq_ != my_error_seq || stop_;
   });
-  if (durable_lsn_ >= target) return Status::OK();
+  if (durable_lsn_ >= lsn) return Status::OK();
   if (flush_error_seq_ != my_error_seq) return flush_error_;
   return Status::FailedPrecondition("wal closed while awaiting fsync");
+}
+
+bool Wal::BytesDueLocked() const {
+  // Bytes an fsync in flight already covers do not count toward the next.
+  return options_.policy == SyncPolicy::kBytes &&
+         unsynced_bytes_ - syncing_bytes_ >= options_.bytes_threshold;
 }
 
 void Wal::FlusherMain() {
   std::unique_lock<std::mutex> lock(mu_);
   while (!stop_) {
     auto wakeup = [&] {
-      return stop_ || requested_lsn_ > durable_lsn_ ||
-             (options_.policy == SyncPolicy::kBytes &&
-              unsynced_bytes_ >= options_.bytes_threshold);
+      return stop_ || requested_lsn_ > durable_lsn_ || BytesDueLocked();
     };
     if (options_.policy == SyncPolicy::kInterval) {
       flush_cv_.wait_for(lock,
@@ -686,9 +630,7 @@ void Wal::FlusherMain() {
     }
     if (stop_) break;
     const bool want =
-        requested_lsn_ > durable_lsn_ ||
-        (options_.policy == SyncPolicy::kBytes &&
-         unsynced_bytes_ >= options_.bytes_threshold) ||
+        requested_lsn_ > durable_lsn_ || BytesDueLocked() ||
         (options_.policy == SyncPolicy::kInterval && unsynced_bytes_ > 0);
     if (!want) continue;
     if (const Status s = FsyncLocked(lock); !s.ok() && !stop_) {
@@ -703,27 +645,21 @@ Status Wal::FsyncLocked(std::unique_lock<std::mutex>& lock) {
   const int64_t target = written_lsn_;
   if (target <= durable_lsn_) return Status::OK();
   // fsync outside the lock so concurrent appenders keep filling the next
-  // group — this is what makes the commit a *group* commit. The dup'd fd
-  // stays valid across a concurrent rotation (which closes fd_), and every
-  // record <= target is in the file behind it (rotation itself fsyncs).
-  const int dup_fd = ::dup(fd_);
-  if (dup_fd < 0) {
-    flush_error_ = Status::IOError(Errno("dup", active_path_));
-    ++flush_error_seq_;
-    durable_cv_.notify_all();
-    return flush_error_;
-  }
+  // group — this is what makes the commit a *group* commit. The shared
+  // handle keeps the file open across a concurrent rotation (which replaces
+  // active_), and every record <= target is in the file behind it (rotation
+  // itself fsyncs).
+  const std::shared_ptr<fs::File> file = active_;
   const int64_t covered_bytes = unsynced_bytes_;
   const int64_t epoch = rotation_epoch_;
+  syncing_bytes_ = covered_bytes;
   lock.unlock();
-  Status result = Status::OK();
-  if (fault::Triggered("wal.fsync")) {
-    result = Status::IOError("injected fault: wal.fsync (fsync failed)");
-  } else if (::fsync(dup_fd) != 0) {
-    result = Status::IOError(Errno("fsync", active_path_));
-  }
-  ::close(dup_fd);
+  const Status result =
+      fault::Triggered("wal.fsync")
+          ? Status::IOError("injected fault: wal.fsync (fsync failed)")
+          : file->Sync();
   lock.lock();
+  syncing_bytes_ = 0;
   if (result.ok()) {
     ++stats_.fsyncs;
     durable_lsn_ = std::max(durable_lsn_, target);
@@ -751,10 +687,9 @@ Status Wal::TruncateBefore(int64_t lsn) {
   Status first_error = Status::OK();
   for (SegmentInfo& seg : sealed_) {
     if (seg.max_lsn < lsn) {
-      if (::unlink(seg.path.c_str()) != 0 && errno != ENOENT) {
-        if (first_error.ok()) {
-          first_error = Status::IOError(Errno("unlink", seg.path));
-        }
+      Status unlinked = fs::Default().Unlink(seg.path);
+      if (!unlinked.ok() && unlinked.code() != StatusCode::kNotFound) {
+        if (first_error.ok()) first_error = std::move(unlinked);
         keep.push_back(std::move(seg));
         continue;
       }
@@ -766,7 +701,8 @@ Status Wal::TruncateBefore(int64_t lsn) {
   }
   sealed_ = std::move(keep);
   if (any) {
-    if (Status s = SyncDir(dir_); !s.ok() && first_error.ok()) {
+    if (Status s = fs::Default().SyncDir(dir_);
+        !s.ok() && first_error.ok()) {
       first_error = s;
     }
   }

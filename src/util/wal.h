@@ -15,6 +15,10 @@
 #include "src/util/status.h"
 
 namespace streamhist {
+namespace fs {
+class File;
+}  // namespace fs
+
 namespace wal {
 
 /// Segmented write-ahead log of CRC32C-framed records with monotone LSNs
@@ -34,8 +38,9 @@ namespace wal {
 ///
 /// Open() scans every retained segment, truncates a torn tail (a partial
 /// frame at the end of the newest segment — the footprint of a crash
-/// mid-write) at the last whole-record boundary, and derives the next LSN.
-/// Recovery therefore never fails on a torn tail; it repairs and reports.
+/// mid-write) at the last whole-record boundary, fsyncs the cut, and
+/// derives the next LSN. Recovery therefore never fails on a torn tail; it
+/// repairs and reports.
 /// A CRC-bad record in the interior (media rot) is skipped by frame
 /// resynchronization and counted, never fatal.
 ///
@@ -50,6 +55,10 @@ namespace wal {
 ///   none       no fsync except on Close/Flush.
 /// Only "always" gives acked-implies-durable; the others bound the loss
 /// window instead (documented trade, bench-measured in BENCH_PR7).
+///
+/// Every file operation goes through fs::Default() (util/file_system.h);
+/// tests/crash_state_test.cc records them to check each crash state the
+/// durability policy "always" can leave.
 ///
 /// Thread-safe: any number of appenders; one internal flusher thread.
 ///
@@ -219,7 +228,15 @@ class Wal {
 
   Status OpenActiveSegment(int64_t first_lsn);
   Status SealAndRotateLocked();
-  Status WriteFrameLocked(std::string_view frame);
+  /// The one frame writer behind Append and AppendAt: rotates when the
+  /// active segment is full, writes the record frame (rolling a partial
+  /// write back to the last record boundary), and advances the LSN
+  /// bookkeeping.
+  Status AppendRecordLocked(int64_t lsn, std::string_view payload);
+  /// Blocks until `lsn` is durable, a flush fails, or the log closes.
+  Status AwaitDurableLocked(std::unique_lock<std::mutex>& lock, int64_t lsn);
+  /// Policy bytes:N: N bytes beyond any fsync in flight await one.
+  bool BytesDueLocked() const;
   void FlusherMain();
   Status FsyncLocked(std::unique_lock<std::mutex>& lock);
 
@@ -230,8 +247,9 @@ class Wal {
   mutable std::mutex mu_;
   std::condition_variable flush_cv_;    // appenders -> flusher
   std::condition_variable durable_cv_;  // flusher -> waiting appenders
-  int fd_ = -1;
-  std::string active_path_;        // file backing fd_
+  // The segment appends go to; shared so the unlocked group-commit fsync
+  // keeps its file open across a concurrent rotation. Null once closed.
+  std::shared_ptr<fs::File> active_;
   std::vector<SegmentInfo> sealed_;  // immutable predecessors of the active
   int64_t active_first_lsn_ = 0;   // header LSN of the active segment
   int64_t active_bytes_ = 0;       // bytes written to the active segment
@@ -240,6 +258,7 @@ class Wal {
   int64_t durable_lsn_ = 0;        // highest LSN covered by fsync
   int64_t requested_lsn_ = 0;      // highest LSN an appender wants durable
   int64_t unsynced_bytes_ = 0;     // bytes written since the last fsync
+  int64_t syncing_bytes_ = 0;      // of those, covered by an fsync in flight
   int64_t rotation_epoch_ = 0;     // bumped whenever a rotation resets it
   bool stop_ = false;
   Status flush_error_ = Status::OK();  // last flush failure

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include "src/engine/query_engine.h"
+#include "src/util/fault.h"
+#include "src/util/fileio.h"
 #include "src/util/random.h"
 #include "src/util/wal.h"
 #include "test_dir.h"
@@ -110,6 +112,24 @@ TEST_F(CliTest, ErrorPaths) {
   EXPECT_EQ(RunTool({"query", "--histogram", hist_, "SUM", "0", "999"}).code, 1);
   EXPECT_EQ(RunTool({"query", "--histogram", hist_, "POINT", "50"}).code, 1);
   EXPECT_EQ(RunTool({"query", "--histogram", hist_, "MEDIAN", "1"}).code, 2);
+}
+
+TEST_F(CliTest, FailedBuildLeavesThePreviousOutputWhole) {
+  ASSERT_EQ(RunTool({"generate", "--n", "200", "--out", csv_}).code, 0);
+  const CliResult built =
+      RunTool({"build", "--input", csv_, "--buckets", "8", "--out", hist_});
+  ASSERT_EQ(built.code, 0) << built.err;
+  const std::string before = ReadFileToString(hist_).value();
+  {
+    // A write that dies halfway must not reach hist.bin: build writes a
+    // temp file and renames it into place only once it is whole.
+    const fault::ScopedFault armed("fileio.short_write");
+    const CliResult r =
+        RunTool({"build", "--input", csv_, "--buckets", "4", "--out", hist_});
+    EXPECT_EQ(r.code, 1);
+    EXPECT_NE(r.err.find("fileio.short_write"), std::string::npos) << r.err;
+  }
+  EXPECT_EQ(ReadFileToString(hist_).value(), before);
 }
 
 TEST_F(CliTest, BuildRejectsNonFiniteCsv) {

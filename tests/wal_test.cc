@@ -29,6 +29,7 @@
 #include "src/engine/wal_records.h"
 #include "src/util/governor.h"
 #include "src/util/wal.h"
+#include "recording_file_system.h"
 #include "test_dir.h"
 
 namespace streamhist {
@@ -553,6 +554,36 @@ TEST_F(WalTest, ReadTailFollowsRotationsAndReportsTruncation) {
   wal::TailBatch batch;
   ASSERT_TRUE(log.ReadTail(&stale, 1 << 20, &batch).ok());
   EXPECT_TRUE(batch.truncated_below);
+}
+
+TEST_F(WalTest, ReadTailReadsOnlyPastTheCursor) {
+  // A caught-up replica feeder reads once per durable record. Reading the
+  // segment from byte 0 each time would cost O(records x segment) bytes;
+  // reading from the cursor costs about the segment once.
+  const std::string dir = TempDir("wal_tail_cost");
+  RecordingFileSystem recorder;
+  const ScopedFileSystem recording(&recorder);
+  auto opened = wal::Wal::Open(dir, wal::Options{}, nullptr);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  wal::Wal& log = *opened.value();
+  wal::TailCursor cursor;
+  for (int i = 0; i < 1000; ++i) {
+    const auto lsn = log.Append("tail-" + std::to_string(i));
+    ASSERT_TRUE(lsn.ok()) << lsn.status();
+    wal::TailBatch batch;
+    ASSERT_TRUE(log.ReadTail(&cursor, 1 << 20, &batch).ok());
+    ASSERT_EQ(batch.records.size(), 1u);
+    EXPECT_EQ(batch.records[0].first, lsn.value());
+  }
+  int64_t segment_bytes = 0;
+  int segments = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    segment_bytes += static_cast<int64_t>(entry.file_size());
+    ++segments;
+  }
+  ASSERT_EQ(segments, 1);
+  EXPECT_LT(recorder.bytes_read(), 2 * segment_bytes)
+      << "segment is " << segment_bytes << " bytes";
 }
 
 TEST_F(WalTest, AppendAtAndAlignNextLsnKeepTheReplicaLogMonotonic) {
