@@ -615,10 +615,13 @@ Result<QueryEngine::CheckpointReport> QueryEngine::LoadCheckpoint(
       handle.stream().set_wal_lsn(0);
     }
   }
-  // Re-anchor durability on the loaded state: checkpoint it into the WAL
-  // directory and truncate, so a crash right after LOAD does not replay a
-  // stale log over what was just loaded.
-  const Status durable = WalCheckpointNow(nullptr);
+  // Re-anchor durability on the loaded state: seal the active segment, then
+  // checkpoint into the WAL directory and truncate, so no record of the
+  // replaced registry survives — a crash right after LOAD must not replay a
+  // stale log over what was just loaded, nor a later recovery that drops a
+  // rotted section replay it from the oldest retained record.
+  Status durable = wal_->log->Rotate();
+  if (durable.ok()) durable = WalCheckpointNow(nullptr);
   if (!durable.ok()) {
     return Status::IOError(
         "checkpoint loaded, but re-anchoring the wal failed: " +
@@ -729,6 +732,14 @@ std::string QueryEngine::WalRecoveryReport::ToString() const {
   os << open.ToString() << "; checkpoint: " << checkpoint_summary
      << "; replayed " << records_applied << " record(s), skipped "
      << records_skipped << ", dropped " << records_dropped;
+  if (!recovered_from_log.empty()) {
+    os << "; recovered from the log:";
+    for (const std::string& name : recovered_from_log) os << " " << name;
+  }
+  if (sections_lost > 0) {
+    os << "; lost " << sections_lost
+       << " dropped section(s) whose CREATE the log no longer holds";
+  }
   return os.str();
 }
 
@@ -821,10 +832,13 @@ Result<QueryEngine::WalRecoveryReport> QueryEngine::OpenWal(
   // Seed the registry from the newest checkpoint, when one exists. An
   // unusable checkpoint is NOT fatal — recovery degrades to a cold replay
   // of whatever the log retains. AtomicWriteFile keeps half-written images
-  // off disk, so "unusable" means post-write rot, and the loss (if any) is
-  // bounded by what was truncated below the bad checkpoint.
+  // off disk, so "unusable" means post-write rot. A stream whose records
+  // the log still holds from its CREATE on survives that rot; one whose
+  // CREATE a checkpoint truncation already deleted does not.
   const std::string checkpoint_path = state->CheckpointPath();
   int64_t checkpoint_floor = 0;
+  std::set<std::string> restored;  // streams the checkpoint loaded
+  int64_t dropped_sections = 0;
   STREAMHIST_ASSIGN_OR_RETURN(const std::vector<std::string> names,
                               fs::Default().List(dir));
   if (std::find(names.begin(), names.end(), WalState::kCheckpointName) !=
@@ -836,6 +850,10 @@ Result<QueryEngine::WalRecoveryReport> QueryEngine::OpenWal(
       recovery.checkpoint_loaded = true;
       recovery.checkpoint_summary = loaded->ToString();
       checkpoint_floor = header_lsn;
+      restored.insert(loaded->loaded.begin(), loaded->loaded.end());
+      for (const CheckpointReport::DroppedStream& dropped : loaded->dropped) {
+        if (dropped.name != "(container)") ++dropped_sections;
+      }
     } else {
       recovery.checkpoint_summary =
           "unusable (" + loaded.status().ToString() + ")";
@@ -854,14 +872,43 @@ Result<QueryEngine::WalRecoveryReport> QueryEngine::OpenWal(
   // out what the checkpoint already reflects — idempotence via the filter,
   // not via the records themselves. Failures count as dropped, never abort
   // recovery: a half-usable log still beats an empty engine.
+  //
+  // A dropped section's stream is not in the registry, so it has no LSN
+  // tail: replay starts at the oldest retained record instead, and that
+  // stream is rebuilt from its CREATE on. Below the floor a restored stream
+  // takes no record: its section's tail is at least the floor (Snapshot
+  // writes the floor when the stream's own tail is lower, as after LOAD).
+  // A stream the checkpoint legitimately lacks has its DROP retained after
+  // its CREATE (truncation deletes whole segments, oldest first); LOAD and
+  // bootstrap seal the active segment before they truncate, so once that
+  // truncation is durable no record of the registry they replaced is left
+  // behind (DESIGN.md §8.3 names the window before it). The streams
+  // registered when replay crosses the floor that the checkpoint did not
+  // restore are the dropped sections the log held; the rest are lost. The
+  // next WAL CHECKPOINT writes them into a fresh image before it truncates
+  // anything.
   std::map<std::string, StreamHandle> appended;
   WalApplyCounters counters;
+  bool past_floor = dropped_sections == 0;
+  const auto cross_floor = [&] {
+    past_floor = true;
+    for (const std::string& name : registry_.List()) {
+      if (restored.count(name) == 0) {
+        recovery.recovered_from_log.push_back(name);
+      }
+    }
+  };
   const wal::Wal::RecordFn apply = [&](int64_t lsn,
                                        std::string_view payload) -> Status {
+    if (!past_floor && lsn > checkpoint_floor) cross_floor();
     return ApplyWalRecord(lsn, payload, &counters, &appended);
   };
-  STREAMHIST_RETURN_NOT_OK(
-      state->log->Replay(checkpoint_floor + 1, apply, nullptr));
+  STREAMHIST_RETURN_NOT_OK(state->log->Replay(
+      dropped_sections > 0 ? 0 : checkpoint_floor + 1, apply, nullptr));
+  if (!past_floor) cross_floor();
+  recovery.sections_lost = std::max<int64_t>(
+      0, dropped_sections -
+             static_cast<int64_t>(recovery.recovered_from_log.size()));
   // A log retaining nothing at or above the checkpoint floor (segments
   // wiped while the checkpoint survived — disk swap, operator cleanup)
   // must not hand out LSNs the checkpoint already covers: the per-stream

@@ -249,6 +249,12 @@ class QueryEngine {
     int64_t records_applied = 0;     // replayed into live streams
     int64_t records_skipped = 0;     // already reflected by the checkpoint
     int64_t records_dropped = 0;     // undecodable or inapplicable
+    /// Streams whose checkpoint section was dropped and that a replay from
+    /// the oldest retained record rebuilt (DESIGN.md §8).
+    std::vector<std::string> recovered_from_log;
+    /// Dropped sections whose stream the log no longer holds from its
+    /// CREATE on: those streams are lost.
+    int64_t sections_lost = 0;
     std::string ToString() const;
   };
 

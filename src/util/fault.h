@@ -66,8 +66,10 @@ namespace fault {
 ///                           under policy "always" the append is NOT acked
 ///   wal.seal                segment rotation fails; the append that
 ///                           triggered it errors, the log stays writable
-///   wal.replay.corrupt      the recovery scan flips one bit mid-segment —
-///                           forces the CRC-skip / resynchronization path
+///   wal.replay.corrupt      the recovery scan flips one bit mid-way
+///                           through a segment's written frames (not its
+///                           zero fill) — forces the CRC-skip /
+///                           resynchronization path
 
 namespace internal {
 // Number of currently armed points; the fast path for the disabled case.

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstring>
@@ -27,11 +28,12 @@ class PosixFile final : public File {
   PosixFile(std::string path, int fd) : File(std::move(path)), fd_(fd) {}
   ~PosixFile() override { ::close(fd_); }
 
-  Status Append(std::string_view bytes) override {
+  Status WriteAt(int64_t offset, std::string_view bytes) override {
     size_t done = 0;
     while (done < bytes.size()) {
       const ssize_t n =
-          ::write(fd_, bytes.data() + done, bytes.size() - done);
+          ::pwrite(fd_, bytes.data() + done, bytes.size() - done,
+                   static_cast<off_t>(offset + static_cast<int64_t>(done)));
       if (n < 0) {
         if (errno == EINTR) continue;
         return Errno("write", path());
@@ -41,20 +43,24 @@ class PosixFile final : public File {
     return Status::OK();
   }
 
-  Status ReadAt(int64_t offset, std::string* out) override {
+  Status ReadAt(int64_t offset, int64_t length, std::string* out) override {
     out->clear();
     char buf[64 * 1024];
-    off_t pos = static_cast<off_t>(offset);
-    while (true) {
-      const ssize_t n = ::pread(fd_, buf, sizeof(buf), pos);
+    while (static_cast<int64_t>(out->size()) < length) {
+      const int64_t want = std::min<int64_t>(
+          static_cast<int64_t>(sizeof(buf)),
+          length - static_cast<int64_t>(out->size()));
+      const ssize_t n = ::pread(
+          fd_, buf, static_cast<size_t>(want),
+          static_cast<off_t>(offset + static_cast<int64_t>(out->size())));
       if (n < 0) {
         if (errno == EINTR) continue;
         return Errno("read", path());
       }
-      if (n == 0) return Status::OK();
+      if (n == 0) break;
       out->append(buf, static_cast<size_t>(n));
-      pos += n;
     }
+    return Status::OK();
   }
 
   Status Sync() override {
@@ -77,18 +83,17 @@ class PosixFileSystem final : public FileSystem {
  public:
   Result<std::unique_ptr<File>> Open(const std::string& path,
                                      OpenMode mode) override {
-    // Every writable mode appends: writes land at the end of the file even
-    // after a Truncate, so no caller tracks a file offset.
+    // No mode appends: every write names its offset (File::WriteAt).
     int flags = O_CLOEXEC;
     switch (mode) {
       case OpenMode::kRead:
         flags |= O_RDONLY;
         break;
-      case OpenMode::kAppend:
-        flags |= O_WRONLY | O_APPEND;
+      case OpenMode::kWrite:
+        flags |= O_WRONLY;
         break;
       case OpenMode::kCreateTruncate:
-        flags |= O_WRONLY | O_APPEND | O_CREAT | O_TRUNC;
+        flags |= O_WRONLY | O_CREAT | O_TRUNC;
         break;
     }
     const int fd = ::open(path.c_str(), flags, 0666);

@@ -23,9 +23,18 @@ namespace fs {
 ///
 /// The durability model callers are written against: a file's bytes are
 /// durable once File::Sync returns; a directory entry (create, rename,
-/// unlink, MakeDir) is durable once SyncDir of its directory returns.
+/// unlink, MakeDir) is durable once SyncDir of its directory returns. Until
+/// then, any subset of the file's unsynced writes may be on disk, in any
+/// order: page writeback follows page order, not write order, so a write
+/// can land while an earlier one to a lower offset of the same file does
+/// not.
+///
+/// Every write is positioned: no file is opened O_APPEND, so no caller
+/// depends on where the kernel thinks the end of a file is. The WAL writes
+/// each record into space it zero-filled ahead of the record, which keeps
+/// a record's fsync from also committing a file-size change.
 
-/// An open file; destroying the handle closes it. Append and Sync may run
+/// An open file; destroying the handle closes it. WriteAt and Sync may run
 /// concurrently from different threads (the WAL's flusher syncs while an
 /// appender writes).
 class File {
@@ -35,14 +44,15 @@ class File {
   File(const File&) = delete;
   File& operator=(const File&) = delete;
 
-  /// Writes all of `bytes` at the end of the file.
-  virtual Status Append(std::string_view bytes) = 0;
-  /// Replaces `out` with the bytes from `offset` to the end of the file
-  /// (none when `offset` is at or past the end).
-  virtual Status ReadAt(int64_t offset, std::string* out) = 0;
+  /// Writes all of `bytes` at `offset`, growing the file when they reach
+  /// past its end (a gap before `offset` reads as zeros).
+  virtual Status WriteAt(int64_t offset, std::string_view bytes) = 0;
+  /// Replaces `out` with up to `length` bytes from `offset`: fewer when the
+  /// file ends first, none when `offset` is at or past the end.
+  virtual Status ReadAt(int64_t offset, int64_t length, std::string* out) = 0;
   /// Makes every byte written so far durable (fsync).
   virtual Status Sync() = 0;
-  /// Cuts the file to `size` bytes; later Appends land at the new end.
+  /// Cuts (or zero-extends) the file to `size` bytes.
   virtual Status Truncate(int64_t size) = 0;
 
   const std::string& path() const { return path_; }
@@ -53,7 +63,7 @@ class File {
 
 enum class OpenMode {
   kRead,            // an existing file, read-only
-  kAppend,          // an existing file, written at its end
+  kWrite,           // an existing file, written in place
   kCreateTruncate,  // a new file, or an existing one emptied
 };
 

@@ -1,5 +1,6 @@
 #include "src/util/fileio.h"
 
+#include <limits>
 #include <memory>
 
 #include "src/util/fault.h"
@@ -18,7 +19,7 @@ Status InjectedFault(const char* point) {
 Status WriteSyncRename(fs::FileSystem& disk, std::unique_ptr<fs::File> file,
                        std::string_view bytes, const std::string& path) {
   const std::string tmp = file->path();
-  STREAMHIST_RETURN_NOT_OK(file->Append(bytes));
+  STREAMHIST_RETURN_NOT_OK(file->WriteAt(0, bytes));
   if (fault::Triggered("fileio.fsync")) {
     return InjectedFault("fileio.fsync");
   }
@@ -47,7 +48,7 @@ Status AtomicWriteFile(const std::string& path, std::string_view bytes) {
   if (fault::Triggered("fileio.short_write")) {
     // Simulate a crash / ENOSPC mid-write: half the bytes land, the temp
     // file is abandoned, the destination is untouched.
-    (void)file->Append(bytes.substr(0, bytes.size() / 2));
+    (void)file->WriteAt(0, bytes.substr(0, bytes.size() / 2));
     return InjectedFault("fileio.short_write");
   }
   if (Status s = WriteSyncRename(disk, std::move(file), bytes, path); !s.ok()) {
@@ -65,7 +66,7 @@ Result<std::string> ReadFileToString(const std::string& path) {
     return Status::IOError("cannot open for reading: " + path);
   }
   std::string bytes;
-  if (!(*file)->ReadAt(0, &bytes).ok()) {
+  if (!(*file)->ReadAt(0, std::numeric_limits<int64_t>::max(), &bytes).ok()) {
     return Status::IOError("read failed: " + path);
   }
   if (!bytes.empty() && fault::Triggered("fileio.read.bitflip")) {

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -31,6 +32,43 @@ constexpr size_t kFrameOverhead = kFrameHeadBytes + 4;
 // Fixed governor charge on top of the active segment: scan buffer slack
 // and bookkeeping.
 constexpr int64_t kGovernorSlackBytes = 64 * 1024;
+// Records are written into space already zero-filled this far ahead of the
+// write offset, so a record's fsync commits data only; the file-size change
+// of each fill is committed once, by the next record's fsync (DESIGN.md
+// §12.2). A constant, not an option.
+constexpr int64_t kZeroFillBytes = 256 * 1024;
+
+// The zero bytes every fill writes from.
+std::string_view Zeros() {
+  static const std::string zeros(static_cast<size_t>(kZeroFillBytes), '\0');
+  return zeros;
+}
+
+// One past the last non-zero byte of `data` (0 when it is all zeros): what
+// lies beyond is the zero fill, a segment's clean end.
+size_t WrittenEnd(std::string_view data) {
+  const size_t last = data.find_last_not_of('\0');
+  return last == std::string_view::npos ? 0 : last + 1;
+}
+
+bool AllZero(std::string_view bytes) {
+  return bytes.find_first_not_of('\0') == std::string_view::npos;
+}
+
+// Whether the CRC-bad frame at data[pos, pos + bytes) shows bytes a crash
+// never landed, which read as the zero fill beneath them: its CRC trailer
+// is zeros (the write was cut inside a sector), or a whole sector it
+// touches is (the sector never reached the disk). Rot that flipped bits in
+// a landed frame shows neither.
+bool MissesLandedBytes(std::string_view data, size_t pos, size_t bytes) {
+  const size_t end = pos + bytes;
+  if (AllZero(data.substr(end - 4, 4))) return true;
+  const size_t sector = static_cast<size_t>(kSectorBytes);
+  for (size_t s = pos - pos % sector; s < end; s += sector) {
+    if (AllZero(data.substr(s, sector))) return true;
+  }
+  return false;
+}
 
 std::string SegmentPath(const std::string& dir, int64_t first_lsn) {
   char name[40];
@@ -63,7 +101,9 @@ struct DecodedFrame {
   uint32_t magic = 0;
   uint32_t version = 0;
   std::string_view payload;
-  size_t bytes = 0;  // whole frame length (0 when kShort)
+  // The frame length its head declares: past the end of the input when
+  // kShort for want of bytes, 0 when the head is incomplete or unknown.
+  size_t bytes = 0;
 };
 
 // The one frame decoder behind the recovery scan and ReadTail. It is
@@ -79,14 +119,15 @@ DecodedFrame DecodeFrame(std::string_view data) {
   uint32_t stored_crc = 0;
   if (!reader.ReadU32(&magic) || !reader.ReadU32(&version) ||
       !reader.ReadU64(&len) ||
-      (magic != kSegmentMagic && magic != kRecordMagic) ||
-      !reader.Skip(len) || !reader.ReadU32(&stored_crc)) {
+      (magic != kSegmentMagic && magic != kRecordMagic)) {
     return frame;
   }
+  frame.bytes = len > SIZE_MAX - kFrameOverhead ? SIZE_MAX
+                                                : len + kFrameOverhead;
+  if (!reader.Skip(len) || !reader.ReadU32(&stored_crc)) return frame;
   frame.magic = magic;
   frame.version = version;
   frame.payload = data.substr(kFrameHeadBytes, len);
-  frame.bytes = reader.position();
   frame.check = Crc32c(data.substr(0, kFrameHeadBytes + len)) == stored_crc
                     ? FrameCheck::kWhole
                     : FrameCheck::kCrcBad;
@@ -111,21 +152,33 @@ bool ParseRecord(const DecodedFrame& frame, int64_t* lsn,
 // back as interior rot in a sealed segment.
 Status CutTornTail(const std::string& path, size_t size) {
   STREAMHIST_ASSIGN_OR_RETURN(std::unique_ptr<fs::File> file,
-                              fs::Default().Open(path, fs::OpenMode::kAppend));
+                              fs::Default().Open(path, fs::OpenMode::kWrite));
   STREAMHIST_RETURN_NOT_OK(file->Truncate(static_cast<int64_t>(size)));
   return file->Sync();
 }
 
 // Shared scan core behind Open (repair=true), Scan, and Replay. Walks every
-// segment in LSN order through DecodeFrame:
+// segment in LSN order through DecodeFrame. Where a frame should start:
 //
-//   * a CRC-bad frame whose head and declared length are intact is interior
+//   * an all-zero remainder is the segment's clean end — the zero fill the
+//     writer lays ahead of its records (none in a segment written before
+//     the fill existed). It is neither torn bytes nor rot;
+//   * a structurally short or magic-less frame in the NEWEST segment, or a
+//     CRC-bad one there that misses landed bytes (MissesLandedBytes: a
+//     write the crash cut, or a sector of it that never reached the disk),
+//     is the torn footprint of a crashed write — truncated (when `repair`)
+//     at the frame's start and reported, never fatal, even when later
+//     frames landed: they were written after the one the crash lost.
+//     torn_bytes counts the residue through its last non-zero byte, not
+//     the zero fill after it;
+//   * any other CRC-bad frame whose head and declared length are intact is
 //     rot — skipped whole, counted, scan continues (resynchronization);
-//   * a structurally short or magic-less tail in the NEWEST segment is the
-//     torn footprint of a crashed write — truncated (when `repair`) at the
-//     last whole-frame boundary, reported, never fatal;
-//   * the same damage in a sealed segment abandons the rest of that segment
-//     only (there is no trustworthy delimiter to resync on).
+//   * a short or magic-less frame in a sealed segment abandons the rest of
+//     that segment only (there is no trustworthy delimiter to resync on).
+//
+// A zero run where a frame should start, with written bytes after it, is
+// therefore never skipped: records past it were written after the ones the
+// crash lost, and replaying them would put a gap in the history.
 //
 // A scan therefore never fails on damaged content, only on real I/O errors.
 Status ScanImpl(const std::string& dir, bool repair, int64_t from_lsn,
@@ -140,22 +193,31 @@ Status ScanImpl(const std::string& dir, bool repair, int64_t from_lsn,
     const bool last_segment = i + 1 == names.size();
     const std::string path = dir + "/" + names[i];
     STREAMHIST_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-    if (fault::Triggered("wal.replay.corrupt") &&
-        bytes.size() > kFrameOverhead) {
-      bytes[bytes.size() / 2] ^= 0x10;
+    const size_t written = WrittenEnd(bytes);
+    if (fault::Triggered("wal.replay.corrupt") && written > kFrameOverhead) {
+      bytes[written / 2] ^= 0x10;  // mid-way through the written frames
     }
     SegmentInfo info;
     info.path = path;
     ++out.segments;
+    // A segment is named for the next LSN when it was created, so every
+    // LSN below that was handed out, even when a crash took its header:
+    // the next segment must not be named (and sort) below it.
+    const std::string digits = names[i].substr(4, names[i].size() - 8);
+    max_lsn = std::max<int64_t>(
+        max_lsn, std::strtoll(digits.c_str(), nullptr, 10) - 1);
     const std::string_view data(bytes);
     size_t pos = 0;
     bool at_header = true;
-    while (pos < data.size()) {
+    while (pos < written) {
       const DecodedFrame frame = DecodeFrame(data.substr(pos));
+      const bool torn = frame.check == FrameCheck::kCrcBad &&
+                        MissesLandedBytes(data, pos, frame.bytes);
       if (frame.check == FrameCheck::kShort ||
-          frame.magic != (at_header ? kSegmentMagic : kRecordMagic)) {
+          frame.magic != (at_header ? kSegmentMagic : kRecordMagic) ||
+          (last_segment && torn)) {
         if (last_segment) {
-          out.torn_bytes += static_cast<int64_t>(data.size() - pos);
+          out.torn_bytes += static_cast<int64_t>(written - pos);
           out.tail_truncated = true;
           if (repair) STREAMHIST_RETURN_NOT_OK(CutTornTail(path, pos));
         } else {
@@ -196,6 +258,7 @@ Status ScanImpl(const std::string& dir, bool repair, int64_t from_lsn,
         STREAMHIST_RETURN_NOT_OK((*fn)(lsn, body));
       }
     }
+    info.bytes = static_cast<int64_t>(pos);
     infos.push_back(std::move(info));
   }
   out.next_lsn = max_lsn + 1;
@@ -357,7 +420,7 @@ Status Wal::OpenActiveSegment(int64_t first_lsn) {
   header.PutU64(static_cast<uint64_t>(first_lsn));
   const std::string frame =
       WrapFrame(kSegmentMagic, kSegmentVersion, header.bytes());
-  Status status = file->Append(frame);
+  Status status = file->WriteAt(0, frame);
   if (status.ok()) status = disk.SyncDir(dir_);
   if (!status.ok()) {
     file.reset();
@@ -369,6 +432,7 @@ Status Wal::OpenActiveSegment(int64_t first_lsn) {
   active_ = std::move(file);
   active_first_lsn_ = first_lsn;
   active_bytes_ = static_cast<int64_t>(frame.size());
+  filled_bytes_ = active_bytes_;
   unsynced_bytes_ += static_cast<int64_t>(frame.size());
   return Status::OK();
 }
@@ -389,7 +453,7 @@ Status Wal::SealAndRotateLocked() {
   ++rotation_epoch_;
   durable_cv_.notify_all();
   const SegmentInfo outgoing{active_->path(), active_first_lsn_,
-                             written_lsn_};
+                             written_lsn_, active_bytes_};
   // OpenActiveSegment replaces the old handle only after the new segment is
   // up, so a failure leaves the current segment writable (retried next
   // append).
@@ -398,6 +462,29 @@ Status Wal::SealAndRotateLocked() {
   if (outgoing.path != active_->path()) sealed_.push_back(outgoing);
   ++stats_.segments_created;
   return Status::OK();
+}
+
+Status Wal::ZeroFillLocked(int64_t frame_end) {
+  if (frame_end <= filled_bytes_) return Status::OK();
+  const int64_t fill_end =
+      std::max(frame_end, std::min(active_bytes_ + kZeroFillBytes,
+                                   options_.segment_bytes));
+  while (filled_bytes_ < fill_end) {
+    const int64_t n = std::min(kZeroFillBytes, fill_end - filled_bytes_);
+    STREAMHIST_RETURN_NOT_OK(active_->WriteAt(
+        filled_bytes_, Zeros().substr(0, static_cast<size_t>(n))));
+    filled_bytes_ += n;
+  }
+  return Status::OK();
+}
+
+Status Wal::RollBackLocked(Status cause) {
+  // Partial progress is possible; cut back to the last record boundary and
+  // refill from there next time. Should the cut itself fail, the next
+  // positioned write still lands at the boundary, over the residue.
+  (void)active_->Truncate(active_bytes_);
+  filled_bytes_ = active_bytes_;
+  return cause;
 }
 
 Status Wal::AppendRecordLocked(int64_t lsn, std::string_view payload) {
@@ -409,19 +496,22 @@ Status Wal::AppendRecordLocked(int64_t lsn, std::string_view payload) {
   body.Append(payload);
   const std::string frame =
       WrapFrame(kRecordMagic, kRecordVersion, body.bytes());
+  const int64_t frame_end = active_bytes_ + static_cast<int64_t>(frame.size());
+  if (Status s = ZeroFillLocked(frame_end); !s.ok()) {
+    return RollBackLocked(std::move(s));
+  }
   if (fault::Triggered("wal.append.short")) {
     // Persist half the frame, then fail — the torn-write shape a crash or
-    // ENOSPC leaves. Roll the file back so the in-memory offset stays true.
-    (void)active_->Append(std::string_view(frame).substr(0, frame.size() / 2));
-    STREAMHIST_RETURN_NOT_OK(active_->Truncate(active_bytes_));
-    return Status::IOError("injected fault: wal.append.short (torn write)");
+    // ENOSPC leaves.
+    (void)active_->WriteAt(active_bytes_,
+                           std::string_view(frame).substr(0, frame.size() / 2));
+    return RollBackLocked(
+        Status::IOError("injected fault: wal.append.short (torn write)"));
   }
-  if (Status s = active_->Append(frame); !s.ok()) {
-    // Partial progress is possible; roll back to the last record boundary.
-    (void)active_->Truncate(active_bytes_);
-    return s;
+  if (Status s = active_->WriteAt(active_bytes_, frame); !s.ok()) {
+    return RollBackLocked(std::move(s));
   }
-  active_bytes_ += static_cast<int64_t>(frame.size());
+  active_bytes_ = frame_end;
   unsynced_bytes_ += static_cast<int64_t>(frame.size());
   next_lsn_ = lsn + 1;
   written_lsn_ = lsn;
@@ -456,12 +546,18 @@ Result<int64_t> Wal::Append(std::string_view payload) {
 Status Wal::ReadTail(TailCursor* cursor, int64_t max_bytes, TailBatch* out) {
   out->records.clear();
   out->truncated_below = false;
-  int64_t emitted_bytes = 0;
+  max_bytes = std::max<int64_t>(max_bytes, 1);
+  // Frame bytes passed over, emitted or skipped. A call returns once it has
+  // spent its budget and holds a record: a batch that only skipped frames
+  // (a header, or records below a cursor that lost its offset) would read
+  // as "caught up".
+  int64_t spent = 0;
   // Bounded segment hops per call; a reader that cannot make progress
   // returns an empty batch and retries rather than spinning here.
   for (int hop = 0; hop < 64; ++hop) {
     int64_t cap = 0;          // durability horizon: never emit beyond it
     int64_t chosen_max = 0;   // the chosen segment's claimed max LSN
+    int64_t end = 0;          // the chosen segment's last frame end
     std::string path;
     bool is_active = false;
     {
@@ -479,12 +575,14 @@ Status Wal::ReadTail(TailCursor* cursor, int64_t max_bytes, TailBatch* out) {
         if (seg.max_lsn >= cursor->next_lsn) {
           path = seg.path;
           chosen_max = seg.max_lsn;
+          end = seg.bytes;
           break;
         }
       }
       if (path.empty()) {
         path = active_->path();
         chosen_max = written_lsn_;
+        end = active_bytes_;
         is_active = true;
       }
     }
@@ -492,41 +590,61 @@ Status Wal::ReadTail(TailCursor* cursor, int64_t max_bytes, TailBatch* out) {
       cursor->segment_path = path;
       cursor->offset = 0;
     }
-    // Read only what lies past the cursor: a caught-up reader polls once
-    // per durable wake-up, so rereading the segment from byte 0 would cost
-    // O(segment) per record. An offset past the end reads nothing.
-    std::string bytes;
+    // Read only what lies past the cursor: the rest of the byte budget, or
+    // the one frame that budget ends inside, and never past the segment's
+    // last frame. A caught-up reader polls once per durable wake-up and
+    // reads nothing, and the zero fill is never read.
     Result<std::unique_ptr<fs::File>> file =
         fs::Default().Open(path, fs::OpenMode::kRead);
-    if (!file.ok() || !(*file)->ReadAt(cursor->offset, &bytes).ok()) {
+    if (!file.ok()) {
       // The segment raced a checkpoint truncation out from under us; the
       // records it held are below the new retention floor.
       out->truncated_below = true;
       return Status::OK();
     }
-    const std::string_view data(bytes);
-    const int64_t base = cursor->offset;
-    size_t pos = 0;
-    while (pos < data.size()) {
-      const DecodedFrame frame = DecodeFrame(data.substr(pos));
-      // Structurally short: an in-flight append's tail (active segment) or
-      // abandoned rot (sealed) — either way, stop parsing this file.
-      if (frame.check == FrameCheck::kShort) break;
-      int64_t lsn = 0;
-      std::string_view body;
-      const bool record = frame.check == FrameCheck::kWhole &&
-                          frame.magic == kRecordMagic &&
-                          ParseRecord(frame, &lsn, &body);
-      if (record && lsn > cap) return Status::OK();  // not durable yet
-      pos += frame.bytes;
-      cursor->offset = base + static_cast<int64_t>(pos);
-      // Headers carry no records; CRC-bad interiors are skipped exactly like
-      // Replay's resynchronization skips them.
-      if (!record || lsn < cursor->next_lsn) continue;
-      out->records.emplace_back(lsn, std::string(body));
-      cursor->next_lsn = lsn + 1;
-      emitted_bytes += static_cast<int64_t>(frame.bytes);
-      if (emitted_bytes >= max_bytes) return Status::OK();
+    while (cursor->offset < end) {
+      const int64_t base = cursor->offset;
+      const int64_t budget =
+          std::max<int64_t>(max_bytes - spent, kFrameHeadBytes);
+      std::string bytes;
+      Status read = (*file)->ReadAt(base, std::min(end - base, budget), &bytes);
+      // The budget ends inside the first frame: read through its end.
+      const int64_t through = static_cast<int64_t>(std::min<uint64_t>(
+          DecodeFrame(bytes).bytes, static_cast<uint64_t>(end - base)));
+      if (read.ok() && through > static_cast<int64_t>(bytes.size())) {
+        std::string rest;
+        read = (*file)->ReadAt(base + static_cast<int64_t>(bytes.size()),
+                               through - static_cast<int64_t>(bytes.size()),
+                               &rest);
+        bytes += rest;
+      }
+      if (!read.ok()) {
+        out->truncated_below = true;  // as above: the segment is gone
+        return Status::OK();
+      }
+      size_t pos = 0;
+      while (pos < bytes.size()) {
+        const DecodedFrame frame =
+            DecodeFrame(std::string_view(bytes).substr(pos));
+        if (frame.check == FrameCheck::kShort) break;  // the next read's
+        int64_t lsn = 0;
+        std::string_view body;
+        const bool record = frame.check == FrameCheck::kWhole &&
+                            frame.magic == kRecordMagic &&
+                            ParseRecord(frame, &lsn, &body);
+        if (record && lsn > cap) return Status::OK();  // not durable yet
+        pos += frame.bytes;
+        cursor->offset = base + static_cast<int64_t>(pos);
+        spent += static_cast<int64_t>(frame.bytes);
+        // Headers carry no records; CRC-bad interiors are skipped exactly
+        // like Replay's resynchronization skips them.
+        if (record && lsn >= cursor->next_lsn) {
+          out->records.emplace_back(lsn, std::string(body));
+          cursor->next_lsn = lsn + 1;
+        }
+        if (spent >= max_bytes && !out->records.empty()) return Status::OK();
+      }
+      if (cursor->offset == base) break;  // no whole frame: abandoned rot
     }
     if (is_active) return Status::OK();  // read everything on disk so far
     // A finished sealed segment may claim LSNs it cannot produce (rot that
@@ -565,6 +683,13 @@ Status Wal::AlignNextLsn(int64_t lsn) {
   written_lsn_ = std::max(written_lsn_, lsn - 1);
   durable_lsn_ = std::max(durable_lsn_, lsn - 1);
   durable_cv_.notify_all();
+  return SealAndRotateLocked();
+}
+
+Status Wal::Rotate() {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (stop_ || !active_) return Status::FailedPrecondition("wal is closed");
+  if (written_lsn_ < active_first_lsn_) return Status::OK();
   return SealAndRotateLocked();
 }
 

@@ -36,13 +36,23 @@ namespace wal {
 ///   header: magic "SHWL" v1, payload = first_lsn u64
 ///   record: magic "SHWR" v1, payload = lsn u64 | caller bytes
 ///
-/// Open() scans every retained segment, truncates a torn tail (a partial
-/// frame at the end of the newest segment — the footprint of a crash
-/// mid-write) at the last whole-record boundary, fsyncs the cut, and
-/// derives the next LSN. Recovery therefore never fails on a torn tail; it
-/// repairs and reports.
-/// A CRC-bad record in the interior (media rot) is skipped by frame
-/// resynchronization and counted, never fatal.
+/// followed by zeros: the writer keeps the active segment zero-filled
+/// 256 KiB ahead of its write offset (capped at segment_bytes) and writes
+/// each record into that space with a positioned write, so a record's
+/// fsync commits data, not a file-size change (DESIGN.md §12.2).
+///
+/// Open() scans every retained segment and derives the next LSN. Where a
+/// frame should start, an all-zero remainder is the segment's clean end
+/// (segments written before the fill simply end at their last record). A
+/// torn tail in the newest segment — a short or magic-less frame, or a
+/// CRC-bad one whose CRC trailer or one of whose sectors reads as zeros,
+/// the footprint of a crash mid-write — is truncated at that frame's start
+/// and the cut fsynced, dropping any later frames with it: they were
+/// written after the one the crash lost. OpenReport::torn_bytes counts the
+/// residue, not the fill. Recovery therefore never fails on a torn tail; it
+/// repairs and reports. Any other CRC-bad record (media rot) is skipped by
+/// frame resynchronization and counted, never fatal. A zero run followed
+/// by more frames is a torn tail, never skipped.
 ///
 /// Durability policies (ParsePolicySpec: "always" | "bytes:N" |
 /// "interval:MS" | "none"):
@@ -70,6 +80,12 @@ namespace wal {
 /// wal.replay.corrupt.
 
 enum class SyncPolicy { kAlways, kBytes, kInterval, kNone };
+
+/// The unit a crash can lose a write in: a disk lands a sector whole or not
+/// at all, so a write cut by a crash misses whole sectors, which read as
+/// the zero fill beneath them. Recovery reads a CRC-bad frame in the newest
+/// segment that touches an all-zero sector as torn, not as rot.
+inline constexpr int64_t kSectorBytes = 512;
 
 struct Options {
   SyncPolicy policy = SyncPolicy::kAlways;
@@ -119,6 +135,7 @@ struct SegmentInfo {
   std::string path;
   int64_t first_lsn = 0;  // from the segment header
   int64_t max_lsn = 0;    // highest valid record LSN; first_lsn - 1 if none
+  int64_t bytes = 0;      // end of its last frame; the zero fill lies beyond
 };
 
 /// Position of a tailing reader (the replication feeder). Value-semantic:
@@ -187,7 +204,10 @@ class Wal {
   /// a tailing reader never sees a record the primary has not fsynced, so
   /// a replica can never end up more durable than its primary. Advances
   /// the cursor and follows the active segment across rotations; an empty
-  /// batch with truncated_below unset means caught up.
+  /// batch with truncated_below unset means caught up. Reads from the
+  /// cursor's offset, at most max_bytes plus the one frame that budget
+  /// ends inside, and never past a segment's last frame: a caught-up poll
+  /// reads nothing, and the zero fill is never read.
   Status ReadTail(TailCursor* cursor, int64_t max_bytes, TailBatch* out);
 
   /// Appends one record at an explicit LSN (replica side: records arrive
@@ -202,6 +222,11 @@ class Wal {
   /// "resume after the floor" step: LSNs <= lsn - 1 are treated as durable
   /// (they live in the bootstrap image, not this log).
   Status AlignNextLsn(int64_t lsn);
+
+  /// Seals the active segment and opens the next one, unless the active
+  /// segment holds no record yet. Every record logged before the call then
+  /// lies in a sealed segment that TruncateBefore can delete.
+  Status Rotate();
 
   /// Blocks until durable_lsn() >= lsn (nudging the flusher if needed), the
   /// timeout elapses, or the log closes. Returns whether lsn is durable.
@@ -229,10 +254,18 @@ class Wal {
   Status OpenActiveSegment(int64_t first_lsn);
   Status SealAndRotateLocked();
   /// The one frame writer behind Append and AppendAt: rotates when the
-  /// active segment is full, writes the record frame (rolling a partial
-  /// write back to the last record boundary), and advances the LSN
-  /// bookkeeping.
+  /// active segment is full, zero-fills ahead of the frame, writes it at
+  /// active_bytes_ (rolling a failure back to the last record boundary),
+  /// and advances the LSN bookkeeping.
   Status AppendRecordLocked(int64_t lsn, std::string_view payload);
+  /// Makes the active segment hold zeros through `frame_end`: when the
+  /// frame reaches past the fill, writes zeros up to kZeroFillBytes past
+  /// the write offset, capped at segment_bytes, or through `frame_end`
+  /// when the frame alone reaches further.
+  Status ZeroFillLocked(int64_t frame_end);
+  /// Cuts the active segment back to active_bytes_ after a failed write,
+  /// resets the zero fill to it, and returns `cause`.
+  Status RollBackLocked(Status cause);
   /// Blocks until `lsn` is durable, a flush fails, or the log closes.
   Status AwaitDurableLocked(std::unique_lock<std::mutex>& lock, int64_t lsn);
   /// Policy bytes:N: N bytes beyond any fsync in flight await one.
@@ -252,7 +285,8 @@ class Wal {
   std::shared_ptr<fs::File> active_;
   std::vector<SegmentInfo> sealed_;  // immutable predecessors of the active
   int64_t active_first_lsn_ = 0;   // header LSN of the active segment
-  int64_t active_bytes_ = 0;       // bytes written to the active segment
+  int64_t active_bytes_ = 0;       // frame bytes in the active segment
+  int64_t filled_bytes_ = 0;       // its length: frames plus zero fill
   int64_t next_lsn_ = 1;           // next LSN to assign
   int64_t written_lsn_ = 0;        // highest LSN fully in the file
   int64_t durable_lsn_ = 0;        // highest LSN covered by fsync

@@ -322,10 +322,18 @@ TEST_F(CliTest, WalVerifyExitCodesSeparateTornTailFromInteriorRot) {
   CliResult r = RunTool({"wal", "verify", "--dir", wal_dir});
   EXPECT_EQ(r.code, 0) << r.out << r.err;
 
-  // A half-written frame head at the tail: crash residue, advisory exit 3.
+  // A half-written frame head right after the last record, over the zero
+  // fill, where a crash leaves it: crash residue, advisory exit 3.
   {
-    std::ofstream torn(segment, std::ios::binary | std::ios::app);
-    torn.write("\x52\x57\x48\x53\x01\x00\x00", 7);
+    std::fstream f(segment,
+                   std::ios::binary | std::ios::in | std::ios::out);
+    const std::string bytes((std::istreambuf_iterator<char>(f)),
+                            std::istreambuf_iterator<char>());
+    const size_t last = bytes.find("payload-2");
+    ASSERT_NE(last, std::string::npos);
+    f.clear();
+    f.seekp(static_cast<std::streamoff>(last + 9 + 4));  // payload, CRC
+    f.write("\x52\x57\x48\x53\x01\x02\x03", 7);
   }
   r = RunTool({"wal", "verify", "--dir", wal_dir});
   EXPECT_EQ(r.code, 3) << r.out << r.err;

@@ -10,9 +10,14 @@
 // unlink) is durable after an fsync of its directory. For every crash point
 // (each prefix of the log) the checker builds the disk images a crash there
 // may leave: the durable state plus, of the operations not yet durable,
-// none, each in-order prefix, and each such prefix with its last write torn
-// in half. Each image is recovered with a fresh QueryEngine::OpenWal through
-// the POSIX file system, one engine at a time, and checked:
+// none, each in-order prefix, each such prefix with its last write torn in
+// half, each such prefix whose last write landed while the earlier pending
+// writes to the same file did not — page writeback follows page order, not
+// write order, once records overwrite a file's zero fill — and each such
+// prefix that landed but for one sector (wal::kSectorBytes) of an earlier
+// pending write, outside the sector that holds all of the last write. Each
+// image is recovered with a fresh QueryEngine::OpenWal through the POSIX
+// file system, one engine at a time, and checked:
 //
 //   * recovery succeeds;
 //   * each stream whose CREATE was acked exists, and every stream's raw
@@ -26,8 +31,14 @@
 // a torn tail is recovered under the recorder, crashed at each point after
 // the cut, and recovered again, which must find no corrupt record.
 //
+// A third pass rots the checkpoint: in every image that holds the WAL's
+// checkpoint, each section in turn gets a flipped byte. Every acked value
+// of a stream the log still holds from its CREATE on must survive; a
+// stream the log no longer holds may be lost, and the report must say so.
+//
 // The teeth: the checker must report a violation when the model ignores any
-// one of the sync sites the contract rests on.
+// one of the sync sites the contract rests on, and when recovery reads the
+// log the way a scan that skipped a zero run and kept decoding would.
 
 #include <algorithm>
 #include <chrono>
@@ -40,14 +51,18 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "recording_file_system.h"
 #include "src/engine/query_engine.h"
+#include "src/engine/wal_records.h"
 #include "src/util/file_system.h"
 #include "src/util/fileio.h"
+#include "src/util/framing.h"
+#include "src/util/wal.h"
 #include "test_dir.h"
 
 namespace streamhist {
@@ -182,10 +197,17 @@ struct DiskModel {
       case OpKind::kUnlink:
         names.erase(op.path);
         break;
-      case OpKind::kWrite:
-        data[op.inode] += torn ? op.data.substr(0, op.data.size() / 2)
-                               : op.data;
+      case OpKind::kWrite: {
+        // Lands at its offset; a gap before it reads as zeros.
+        const std::string_view bytes =
+            torn ? std::string_view(op.data).substr(0, op.data.size() / 2)
+                 : std::string_view(op.data);
+        std::string& file = data[op.inode];
+        const size_t end = static_cast<size_t>(op.offset) + bytes.size();
+        if (file.size() < end) file.resize(end);
+        file.replace(static_cast<size_t>(op.offset), bytes.size(), bytes);
         break;
+      }
       case OpKind::kTruncate:
         data[op.inode].resize(static_cast<size_t>(op.size));
         break;
@@ -273,8 +295,60 @@ void ForEachCrashImage(
           return;
         }
       }
+      const auto same_file_write = [&](size_t i) {
+        return last.kind == OpKind::kWrite && ops[i].kind == OpKind::kWrite &&
+               ops[i].inode == last.inode;
+      };
+      const auto earlier = pending.begin() + static_cast<ptrdiff_t>(n - 1);
+      if (std::any_of(pending.begin(), earlier, same_file_write)) {
+        DiskModel alone = durable;
+        for (auto it = pending.begin(); it != earlier; ++it) {
+          if (!same_file_write(*it)) alone.Apply(ops[*it]);
+        }
+        alone.Apply(last);
+        if (!visit(k, "prefix " + std::to_string(n) + " without earlier writes",
+                   alone.ToImage())) {
+          return;
+        }
+      }
       state.Apply(last);
       if (!visit(k, "prefix " + std::to_string(n), state.ToImage())) return;
+      // The prefix landed but for one sector that an earlier pending write
+      // to the same file touched: the disk kept that sector's durable bytes
+      // (zeros past them), whatever any pending write put there. Only
+      // sectors that do not hold all of `last`, so a later write landed.
+      constexpr int64_t kSector = wal::kSectorBytes;
+      std::set<int64_t> sectors;  // start offsets
+      for (auto it = pending.begin(); it != earlier; ++it) {
+        if (!same_file_write(*it)) continue;
+        const Op& write = ops[*it];
+        const int64_t write_end =
+            write.offset + static_cast<int64_t>(write.data.size());
+        for (int64_t s = write.offset - write.offset % kSector; s < write_end;
+             s += kSector) {
+          sectors.insert(s);
+        }
+      }
+      const int64_t last_end =
+          last.offset + static_cast<int64_t>(last.data.size());
+      const auto kept = durable.data.find(last.inode);
+      for (const int64_t begin : sectors) {
+        if (last.offset >= begin && last_end <= begin + kSector) continue;
+        DiskModel lost = state;
+        std::string& file = lost.data[last.inode];
+        for (size_t i = static_cast<size_t>(begin);
+             i < static_cast<size_t>(begin + kSector) && i < file.size(); ++i) {
+          const bool held =
+              kept != durable.data.end() && i < kept->second.size();
+          file[i] = held ? kept->second[i] : '\0';
+        }
+        if (!visit(k,
+                   "prefix " + std::to_string(n) + " without sector at " +
+                       std::to_string(begin),
+                   lost.ToImage())) {
+          return;
+        }
+      }
     }
   }
 }
@@ -295,6 +369,64 @@ void Materialize(const Image& image, const std::string& from_root,
   }
 }
 
+// The length of the frame at the start of `bytes` (src/util/framing.h), or
+// nullopt when its head is incomplete or its declared length runs past the
+// end.
+std::optional<size_t> FrameBytes(std::string_view bytes) {
+  ByteReader reader(bytes);
+  uint32_t magic = 0;
+  uint32_t version = 0;
+  uint64_t length = 0;
+  if (!reader.ReadU32(&magic) || !reader.ReadU32(&version) ||
+      !reader.ReadU64(&length) || !reader.Skip(length) ||
+      !reader.Skip(sizeof(uint32_t))) {
+    return std::nullopt;
+  }
+  return reader.position();
+}
+
+// What a log scan that skipped each zero run where a frame should start,
+// and kept decoding after it, would read: every segment with those runs
+// cut out. The teeth of the zero-fill rule.
+Image SkipZeroRuns(const Image& image) {
+  Image out = image;
+  for (auto& [path, bytes] : out.files) {
+    if (!IsSegment(path)) continue;
+    std::string kept;
+    size_t pos = 0;
+    while (pos < bytes.size()) {
+      if (bytes[pos] == '\0') {
+        ++pos;  // no frame starts with a zero byte
+        continue;
+      }
+      // A short tail is kept whole.
+      const size_t frame = FrameBytes(std::string_view(bytes).substr(pos))
+                               .value_or(bytes.size() - pos);
+      kept += bytes.substr(pos, frame);
+      pos += frame;
+    }
+    bytes = std::move(kept);
+  }
+  return out;
+}
+
+// The checkpoint image `bytes` with one byte flipped in the middle of its
+// `section`-th section (inside its payload), or nullopt when it has no such
+// section.
+std::optional<std::string> RotSection(std::string bytes, size_t section) {
+  size_t pos = 0;
+  for (size_t frame = 0;; ++frame) {
+    const std::optional<size_t> length =
+        FrameBytes(std::string_view(bytes).substr(pos));
+    if (!length) return std::nullopt;
+    if (frame == section + 1) {  // frame 0 is the header
+      bytes[pos + *length / 2] ^= 0x20;
+      return bytes;
+    }
+    pos += *length;
+  }
+}
+
 QueryEngine::WalConfig Config() {
   QueryEngine::WalConfig config;
   config.options.policy = wal::SyncPolicy::kAlways;
@@ -307,12 +439,25 @@ struct Observation {
   Status recovered;
   int64_t corrupt_records = 0;
   bool tail_truncated = false;
+  int64_t sections_lost = 0;
+  std::set<std::string> logged_creates;  // CREATE records the log holds
+  int64_t recovered_from_log = 0;
   std::map<std::string, std::vector<double>> windows;  // present streams
   bool saved_loads_whole = false;  // saved.shcp fully loads (when present)
 };
 
 Observation Recover(const std::string& root) {
   Observation obs;
+  (void)wal::Wal::Scan(
+      root + "/wal",
+      [&](int64_t, std::string_view payload) {
+        Result<walrec::Record> record = walrec::Decode(payload);
+        if (record.ok() && record->type == walrec::RecordType::kCreate) {
+          obs.logged_creates.insert(record->name);
+        }
+        return Status::OK();
+      },
+      nullptr);
   {
     QueryEngine engine;
     Result<QueryEngine::WalRecoveryReport> report =
@@ -321,6 +466,9 @@ Observation Recover(const std::string& root) {
     if (report.ok()) {
       obs.corrupt_records = report->open.corrupt_records;
       obs.tail_truncated = report->open.tail_truncated;
+      obs.sections_lost = report->sections_lost;
+      obs.recovered_from_log =
+          static_cast<int64_t>(report->recovered_from_log.size());
       for (const std::string& name : kStreams) {
         Result<StreamHandle> handle = engine.Stream(name);
         if (!handle.ok()) continue;
@@ -338,6 +486,53 @@ Observation Recover(const std::string& root) {
     obs.saved_loads_whole = loaded.ok() && loaded->fully_loaded();
   }
   return obs;
+}
+
+// Recovers the log that `image` (recorded under `from_root`) holds in
+// `to_root`/wal with Wal::Open and reads it back. Returns what is wrong
+// (empty when nothing): the log must retain a prefix of `payloads` (LSN
+// i + 1 carries payloads[i]) with no record counted as rot, and verify
+// clean once repaired. `*retained` gets the prefix length.
+std::string RecoverPrefix(const Image& image, const std::string& from_root,
+                          const std::string& to_root,
+                          const wal::Options& options,
+                          const std::vector<std::string>& payloads,
+                          size_t* retained) {
+  Materialize(image, from_root, to_root);
+  const std::string dir = to_root + "/wal";
+  wal::OpenReport report;
+  std::vector<std::pair<int64_t, std::string>> records;
+  {
+    Result<std::unique_ptr<wal::Wal>> log =
+        wal::Wal::Open(dir, options, &report);
+    if (!log.ok()) return "recovery failed: " + log.status().ToString();
+    const Status replayed = (*log)->Replay(
+        0,
+        [&](int64_t lsn, std::string_view payload) {
+          records.emplace_back(lsn, std::string(payload));
+          return Status::OK();
+        },
+        nullptr);
+    if (!replayed.ok()) return "replay failed: " + replayed.ToString();
+  }
+  if (report.corrupt_records != 0) {
+    return std::to_string(report.corrupt_records) + " record(s) read as rot";
+  }
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (records[i].first != static_cast<int64_t>(i) + 1 ||
+        i >= payloads.size() || records[i].second != payloads[i]) {
+      return "record " + std::to_string(i) + " recovered as LSN " +
+             std::to_string(records[i].first) +
+             ", not the next of the records written";
+    }
+  }
+  wal::OpenReport verified;
+  if (!wal::Wal::Scan(dir, nullptr, &verified).ok() ||
+      verified.corrupt_records != 0 || verified.tail_truncated) {
+    return "the repaired log does not verify clean: " + verified.ToString();
+  }
+  *retained = records.size();
+  return "";
 }
 
 // What the workload had been promised by crash point k.
@@ -380,9 +575,10 @@ class CrashStateTest : public ::testing::Test {
     std::filesystem::create_directories(workload_.root);
   }
 
-  // CREATE two streams, then acked APPEND batches with a SaveCheckpoint, a
-  // WalCheckpointNow (checkpoint plus truncation), more appends and a
-  // second SaveCheckpoint over the first — all recorded.
+  // CREATE two streams, then acked APPEND batches with a replicated batch
+  // apply and a SaveCheckpoint, a WalCheckpointNow (checkpoint plus
+  // truncation), more appends, a second batch apply, a second
+  // SaveCheckpoint over the first and a LOAD of it — all recorded.
   void RunWorkload() {
     const std::string saved = workload_.root + "/saved.shcp";
     RecordingFileSystem recorder;
@@ -414,6 +610,25 @@ class CrashStateTest : public ::testing::Test {
           promised();
         }
       };
+      // A replica's batch apply: three records of one stream written back
+      // to back and made durable by one fsync — the workload's window with
+      // several unsynced records in one segment.
+      const auto batch = [&] {
+        std::vector<std::pair<int64_t, std::string>> records;
+        std::vector<double>& planned = workload_.planned["a"];
+        int64_t lsn = engine.WalStats().next_lsn;
+        for (int r = 0; r < 3; ++r) {
+          std::vector<double> values;
+          for (int v = 0; v < kValuesPerBatch; ++v) {
+            values.push_back(next);
+            planned.push_back(next++);
+          }
+          records.emplace_back(lsn++, walrec::EncodeAppend("a", values));
+        }
+        ASSERT_TRUE(engine.ApplyReplicatedBatch(records).ok());
+        promise.acked["a"] = planned.size();
+        promised();
+      };
       const auto save = [&] {
         promise.save_running = true;
         promised();
@@ -426,28 +641,40 @@ class CrashStateTest : public ::testing::Test {
         promised();
       };
       for (int i = 0; i < 4; ++i) round();
+      batch();
       save();
       for (int i = 0; i < 3; ++i) round();
       ASSERT_TRUE(engine.WalCheckpointNow().ok());
       for (int i = 0; i < 3; ++i) round();
+      batch();
       save();
+      // LOAD of the image just saved: equal streams replace the registry,
+      // their LSN tails at 0, and the log is re-anchored on them.
+      ASSERT_TRUE(engine.LoadCheckpoint(saved).ok());
       round();
     }
     workload_.ops = recorder.ops();
   }
 
   // What is wrong (empty when nothing) with the streams a crash state
-  // recovered to, against what was promised at its crash point.
-  std::string CheckStreams(const Promise& promise,
-                           const Observation& obs) const {
+  // recovered to, against what was promised at its crash point. With
+  // `rotted_checkpoint`, an acked stream may be missing when the log no
+  // longer holds its CREATE, and the report must count it lost.
+  std::string CheckStreams(const Promise& promise, const Observation& obs,
+                           bool rotted_checkpoint = false) const {
     if (!obs.recovered.ok()) {
       return "recovery failed: " + obs.recovered.ToString();
     }
+    int64_t lost = 0;
     for (const std::string& name : kStreams) {
       const auto window = obs.windows.find(name);
       const auto acked = promise.acked.find(name);
       if (window == obs.windows.end()) {
         if (acked == promise.acked.end()) continue;
+        if (rotted_checkpoint && obs.logged_creates.count(name) == 0) {
+          ++lost;
+          continue;
+        }
         return "acked stream " + name + " lost";
       }
       const std::vector<double>& planned = workload_.planned.at(name);
@@ -459,6 +686,10 @@ class CrashStateTest : public ::testing::Test {
                " value(s), not the " + std::to_string(need) +
                " acked ones in order plus unacked successors";
       }
+    }
+    if (lost > obs.sections_lost) {
+      return std::to_string(lost) + " stream(s) lost, " +
+             std::to_string(obs.sections_lost) + " reported lost";
     }
     return "";
   }
@@ -504,11 +735,15 @@ class CrashStateTest : public ::testing::Test {
     int64_t crash_points = 0;
     int64_t states = 0;
     std::vector<std::string> violations;
+    int64_t recovered_from_log = 0;  // rot pass: sections the log rebuilt
+    int64_t lost = 0;                // rot pass: sections reported lost
   };
 
   // Explores every crash state of the recorded workload, stopping at the
-  // first violation when `stop_at_first`.
-  Outcome Explore(const std::string& ignored_site, bool stop_at_first) {
+  // first violation when `stop_at_first`. With `skip_zero_runs`, each image
+  // is recovered as a scan that skips zero runs would read it.
+  Outcome Explore(const std::string& ignored_site, bool stop_at_first,
+                  bool skip_zero_runs = false) {
     Outcome out;
     Image initial;
     initial.dirs.insert(workload_.root);
@@ -518,7 +753,8 @@ class CrashStateTest : public ::testing::Test {
           if (subset == "none") ++out.crash_points;
           ++out.states;
           const Promise promise = workload_.PromiseAt(k);
-          const Observation& obs = Observe(image, workload_.root);
+          const Observation& obs = Observe(
+              skip_zero_runs ? SkipZeroRuns(image) : image, workload_.root);
           std::string violation = CheckStreams(promise, obs);
           if (violation.empty()) violation = CheckSaved(image, promise, obs);
           if (violation.empty()) {
@@ -532,6 +768,46 @@ class CrashStateTest : public ::testing::Test {
           out.violations.push_back("crash after op " + std::to_string(k) +
                                    " (" + subset + "): " + violation);
           return !stop_at_first;
+        });
+    return out;
+  }
+
+  // In every crash image that holds the WAL's checkpoint, rots each of its
+  // sections in turn and recovers.
+  Outcome ExploreRottedCheckpoints() {
+    Outcome out;
+    const std::string checkpoint = workload_.root + "/wal/checkpoint.shcp";
+    Image initial;
+    initial.dirs.insert(workload_.root);
+    std::set<std::string> rotted_keys;
+    ForEachCrashImage(
+        initial, workload_.ops, workload_.root, 0, "",
+        [&](size_t k, const std::string& subset, const Image& image) {
+          const auto held = image.files.find(checkpoint);
+          if (held == image.files.end()) return true;
+          if (subset == "none") ++out.crash_points;
+          const Promise promise = workload_.PromiseAt(k);
+          for (size_t section = 0;; ++section) {
+            std::optional<std::string> rotted = RotSection(held->second, section);
+            if (!rotted) break;
+            Image bad = image;
+            bad.files[checkpoint] = std::move(*rotted);
+            ++out.states;
+            const Observation& obs = Observe(bad, workload_.root);
+            if (rotted_keys.insert(bad.Key()).second) {
+              out.recovered_from_log += obs.recovered_from_log;
+              out.lost += obs.sections_lost;
+            }
+            const std::string violation =
+                CheckStreams(promise, obs, /*rotted_checkpoint=*/true);
+            if (!violation.empty()) {
+              out.violations.push_back(
+                  "crash after op " + std::to_string(k) + " (" + subset +
+                  "), section " + std::to_string(section) +
+                  " rotted: " + violation);
+            }
+          }
+          return true;
         });
     return out;
   }
@@ -667,6 +943,123 @@ TEST_F(CrashStateTest, ACrashDuringRecoveryLeavesNoCorruptRecord) {
   EXPECT_GT(outcome.crash_points, 0);
 }
 
+// A checkpoint section that rotted costs only what the log no longer holds:
+// the checker rots each section of every crash image's WAL checkpoint.
+TEST_F(CrashStateTest, ARottedCheckpointSectionLosesOnlyWhatTheLogNoLongerHolds) {
+  RunWorkload();
+  if (HasFatalFailure()) return;
+  const auto start = std::chrono::steady_clock::now();
+  const Outcome outcome = ExploreRottedCheckpoints();
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  std::printf(
+      "rotted checkpoints: %lld crash points, %lld states; %lld section(s) "
+      "rebuilt from the log, %lld reported lost, in %.2f s\n",
+      static_cast<long long>(outcome.crash_points),
+      static_cast<long long>(outcome.states),
+      static_cast<long long>(outcome.recovered_from_log),
+      static_cast<long long>(outcome.lost), seconds);
+  EXPECT_TRUE(outcome.violations.empty())
+      << outcome.violations.size() << " violation(s):"
+      << FirstFew(outcome.violations);
+  // Both sides occur: rot before the truncation that takes the CREATEs
+  // (the log rebuilds the stream), and after it (the stream is lost).
+  EXPECT_GT(outcome.recovered_from_log, 0);
+  EXPECT_GT(outcome.lost, 0);
+}
+
+// A scan that met a zero run where a frame should start, skipped it and
+// kept decoding would replay a record written after one the crash lost.
+// Recovering each image as such a scan reads it must surface a violation.
+TEST_F(CrashStateTest, AScanThatSkipsAZeroRunIsCaught) {
+  RunWorkload();
+  if (HasFatalFailure()) return;
+  const Outcome outcome =
+      Explore("", /*stop_at_first=*/true, /*skip_zero_runs=*/true);
+  ASSERT_FALSE(outcome.violations.empty());
+  std::printf("skipping zero runs: %s\n", outcome.violations.front().c_str());
+}
+
+// Records long enough to span sectors, written back to back and made
+// durable by one fsync, as a replica's batch apply writes them: a crash can
+// keep a later record while a sector of an earlier one never reached the
+// disk. Recovery must cut the log at the earlier record — never replay a
+// later one past the hole, nor leave the damaged frame behind as rot in
+// what becomes a sealed segment.
+TEST_F(CrashStateTest, ASectorLostFromAnEarlierRecordCutsTheLogThere) {
+  const std::string root = scratch_.File("sectors");
+  std::filesystem::create_directories(root);
+  wal::Options options;
+  options.segment_bytes = 8 * wal::kSectorBytes;  // one fill, eight sectors
+  // Non-zero payloads; LSN i + 1 carries payloads[i]. The second and the
+  // fourth span sectors, and the third shares one with each of them.
+  const std::vector<std::string> payloads = {
+      std::string(100, 'a'), std::string(1200, 'b'), std::string(100, 'c'),
+      std::string(900, 'd'), std::string(100, 'e')};
+  RecordingFileSystem recorder;
+  {
+    const ScopedFileSystem recording(&recorder);
+    Result<std::unique_ptr<wal::Wal>> log =
+        wal::Wal::Open(root + "/wal", options, nullptr);
+    ASSERT_TRUE(log.ok()) << log.status();
+    ASSERT_TRUE((*log)->AppendAt(1, payloads[0]).ok());
+    ASSERT_TRUE((*log)->Flush().ok());
+    recorder.Mark("1");
+    for (size_t i = 1; i < payloads.size(); ++i) {
+      ASSERT_TRUE(
+          (*log)->AppendAt(static_cast<int64_t>(i) + 1, payloads[i]).ok());
+    }
+    ASSERT_TRUE((*log)->Flush().ok());
+    recorder.Mark(std::to_string(payloads.size()));
+  }
+  const std::vector<Op> ops = recorder.ops();
+  const auto acked_at = [&](size_t k) -> size_t {
+    for (size_t i = k; i-- > 0;) {
+      if (ops[i].kind == OpKind::kMark) return std::stoul(ops[i].data);
+    }
+    return 0;
+  };
+  Image initial;
+  initial.dirs.insert(root);
+  int64_t states = 0;
+  int64_t lost_sector_states = 0;
+  std::vector<std::string> violations;
+  std::map<std::string, std::pair<std::string, size_t>> recovered;
+  ForEachCrashImage(
+      initial, ops, root, 0, "",
+      [&](size_t k, const std::string& subset, const Image& image) {
+        ++states;
+        if (subset.find("without sector") != std::string::npos) {
+          ++lost_sector_states;
+        }
+        auto [it, fresh] = recovered.try_emplace(image.Key());
+        auto& [violation, retained] = it->second;
+        if (fresh) {
+          violation = RecoverPrefix(image, root, scratch_.File("image"),
+                                    options, payloads, &retained);
+        }
+        std::string found = violation;
+        if (found.empty() && retained < acked_at(k)) {
+          found = std::to_string(retained) + " record(s) retained, " +
+                  std::to_string(acked_at(k)) + " acked";
+        }
+        if (!found.empty()) {
+          violations.push_back("crash after op " + std::to_string(k) + " (" +
+                               subset + "): " + found);
+        }
+        return true;
+      });
+  std::printf(
+      "lost sectors: %zu ops, %lld states (%lld with a lost sector), %zu "
+      "distinct images\n",
+      ops.size(), static_cast<long long>(states),
+      static_cast<long long>(lost_sector_states), recovered.size());
+  EXPECT_TRUE(violations.empty())
+      << violations.size() << " violation(s):" << FirstFew(violations);
+  EXPECT_GT(lost_sector_states, 0);
+}
+
 // Treating one class of sync as a no-op must surface as a violation, for
 // every class the contract rests on. Every sync stays in the code; this
 // only shows the checker would notice one going missing.
@@ -674,7 +1067,7 @@ TEST_F(CrashStateTest, IgnoringAnyNeededSyncIsCaught) {
   RunWorkload();
   if (HasFatalFailure()) return;
   for (const std::string site :
-       {"group-commit fsync", "segment-create dir fsync",
+       {"group-commit fsync", "segment seal fsync", "segment-create dir fsync",
         "log-dir create parent fsync", "checkpoint.shcp temp fsync",
         "SaveCheckpoint temp fsync", "SaveCheckpoint rename dir fsync"}) {
     const Outcome outcome = Explore(site, /*stop_at_first=*/true);

@@ -30,7 +30,7 @@ class RecordingFileSystem final : public fs::FileSystem {
     kMkdir,     // a new directory `path` (a directory entry)
     kRename,    // `path` renamed over `to` (a directory entry)
     kUnlink,    // `path` removed (a directory entry)
-    kWrite,     // `data` appended to `inode`
+    kWrite,     // `data` written to `inode` at `offset`
     kTruncate,  // `inode` cut to `size` bytes
     kSync,      // `inode` fsynced (`path` is the name it was opened by)
     kSyncDir,   // directory `path` fsynced
@@ -43,6 +43,7 @@ class RecordingFileSystem final : public fs::FileSystem {
     std::string to;
     int64_t inode = -1;
     std::string data;
+    int64_t offset = 0;  // kWrite: where `data` starts
     // kTruncate: the new length. kSync/kSyncDir: the log length when the
     // sync started — it covers only the operations logged before that.
     int64_t size = 0;
@@ -143,16 +144,17 @@ class RecordingFileSystem final : public fs::FileSystem {
           inner_(std::move(inner)),
           inode_(inode) {}
 
-    Status Append(std::string_view bytes) override {
-      STREAMHIST_RETURN_NOT_OK(inner_->Append(bytes));
+    Status WriteAt(int64_t offset, std::string_view bytes) override {
+      STREAMHIST_RETURN_NOT_OK(inner_->WriteAt(offset, bytes));
       Op op = MakeOp(OpKind::kWrite, path(), inode_);
       op.data.assign(bytes);
+      op.offset = offset;
       owner_->Log(std::move(op));
       return Status::OK();
     }
 
-    Status ReadAt(int64_t offset, std::string* out) override {
-      STREAMHIST_RETURN_NOT_OK(inner_->ReadAt(offset, out));
+    Status ReadAt(int64_t offset, int64_t length, std::string* out) override {
+      STREAMHIST_RETURN_NOT_OK(inner_->ReadAt(offset, length, out));
       const std::lock_guard<std::mutex> lock(owner_->mu_);
       owner_->bytes_read_ += static_cast<int64_t>(out->size());
       return Status::OK();

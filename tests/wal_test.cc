@@ -27,6 +27,8 @@
 
 #include "src/engine/query_engine.h"
 #include "src/engine/wal_records.h"
+#include "src/util/fault.h"
+#include "src/util/framing.h"
 #include "src/util/governor.h"
 #include "src/util/wal.h"
 #include "recording_file_system.h"
@@ -62,8 +64,58 @@ class WalTest : public ::testing::Test {
     return out;
   }
 
+  // The one segment file in `dir`.
+  std::string OnlySegment(const std::string& dir) {
+    std::vector<std::string> segments;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      if (entry.path().extension() == ".seg") {
+        segments.push_back(entry.path().string());
+      }
+    }
+    EXPECT_EQ(segments.size(), 1u);
+    return segments.empty() ? "" : segments.front();
+  }
+
+  std::string ReadBytes(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  }
+
+  // Writes `bytes` over `path` at `offset` (the file keeps its length when
+  // they fit inside it).
+  void WriteBytesAt(const std::string& path, int64_t offset,
+                    const std::string& bytes) {
+    std::fstream out(path, std::ios::binary | std::ios::in | std::ios::out);
+    out.seekp(static_cast<std::streamoff>(offset));
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  // A segment in the layout written before the zero fill: the header frame
+  // and the record frames, nothing after the last one.
+  static std::string UnpaddedSegment(
+      int64_t first_lsn,
+      const std::vector<std::pair<int64_t, std::string>>& records) {
+    ByteWriter header;
+    header.PutU64(static_cast<uint64_t>(first_lsn));
+    std::string bytes = WrapFrame(0x5348574C, 1, header.bytes());  // "SHWL"
+    for (const auto& [lsn, payload] : records) {
+      ByteWriter body;
+      body.PutU64(static_cast<uint64_t>(lsn));
+      body.Append(payload);
+      bytes += WrapFrame(0x53485752, 1, body.bytes());  // "SHWR"
+    }
+    return bytes;
+  }
+
   TestDir scratch_;  // this test's own directory
 };
+
+// A torn write leaves the first bytes of a frame. Trailing zero bytes of
+// such a residue cannot be told from the zero fill under it, so the scan
+// counts a residue through its last non-zero byte; this one ends non-zero
+// and counts whole: a frame magic and three bytes of a garbled version.
+const std::string kTornResidue = "\x52\x57\x48\x53\x01\x02\x03";
 
 TEST_F(WalTest, LsnsAreMonotoneAcrossReopen) {
   const std::string dir = TempDir("wal_lsn_reopen");
@@ -244,16 +296,16 @@ TEST_F(WalTest, TornTailIsCutAndAppendResumes) {
     }
     ASSERT_TRUE(opened.value()->Flush().ok());
   }
-  // Simulate a crash mid-write: half a frame head of garbage at the tail.
-  std::string segment;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    segment = entry.path().string();
-  }
+  // Simulate a crash mid-write: the first bytes of the next frame, where a
+  // crash leaves them — right after the last record, over the zero fill.
+  const std::string segment = OnlySegment(dir);
   ASSERT_FALSE(segment.empty());
-  {
-    std::ofstream torn(segment, std::ios::binary | std::ios::app);
-    torn.write("\x52\x57\x48\x53\x01\x00\x00", 7);
-  }
+  const std::string before = ReadBytes(segment);
+  const size_t last = before.find("whole-2");
+  ASSERT_NE(last, std::string::npos);
+  const size_t records_end = last + 7 + 4;  // the payload, then its CRC
+  ASSERT_GT(before.size(), records_end + kTornResidue.size());
+  WriteBytesAt(segment, static_cast<int64_t>(records_end), kTornResidue);
 
   wal::OpenReport report;
   auto reopened = wal::Wal::Open(dir, NonePolicy(), &report);
@@ -267,6 +319,267 @@ TEST_F(WalTest, TornTailIsCutAndAppendResumes) {
   EXPECT_EQ(lsn.value(), 4);
   ASSERT_TRUE(reopened.value()->Flush().ok());
   EXPECT_EQ(Records(dir).size(), 4u);
+}
+
+// The same residue in the layout written before the zero fill, where a
+// torn write sits at the end of the file.
+TEST_F(WalTest, TornTailAtTheEndOfAnUnpaddedSegmentIsCut) {
+  const std::string dir = TempDir("wal_torn_unpadded");
+  std::filesystem::create_directories(dir);
+  const std::string segment = dir + "/wal-00000000000000000001.seg";
+  {
+    std::ofstream out(segment, std::ios::binary);
+    out << UnpaddedSegment(1, {{1, "whole-0"}, {2, "whole-1"}, {3, "whole-2"}})
+        << kTornResidue;
+  }
+  wal::OpenReport report;
+  auto reopened = wal::Wal::Open(dir, NonePolicy(), &report);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_TRUE(report.tail_truncated);
+  EXPECT_EQ(report.torn_bytes, 7);
+  EXPECT_EQ(report.corrupt_records, 0);
+  EXPECT_EQ(report.records, 3);
+  const auto lsn = reopened.value()->Append("resumed");
+  ASSERT_TRUE(lsn.ok()) << lsn.status();
+  EXPECT_EQ(lsn.value(), 4);
+  ASSERT_TRUE(reopened.value()->Flush().ok());
+  EXPECT_EQ(Records(dir).size(), 4u);
+}
+
+// Once records overwrite the zero fill, a crash can land a later record
+// while a sector of an earlier one never reached the disk and still reads
+// as zeros. Recovery cuts the log at the earlier record: replaying the
+// later one would put a hole in the history, and skipping the damaged
+// frame as rot would leave it behind in what becomes a sealed segment.
+TEST_F(WalTest, ALostSectorInAnEarlierRecordCutsTheLogThere) {
+  const std::string long_payload(1200, 'b');
+  // The lost sector lies inside the long record while the next one landed,
+  // or holds the long record's CRC and the head of the next, whose tail
+  // landed.
+  for (const int64_t sector : {1, 2}) {
+    const std::string dir = TempDir("wal_lost_sector_" + std::to_string(sector));
+    wal::Options options = NonePolicy();
+    options.segment_bytes = 8 * wal::kSectorBytes;
+    {
+      auto opened = wal::Wal::Open(dir, options, nullptr);
+      ASSERT_TRUE(opened.ok()) << opened.status();
+      ASSERT_TRUE(opened.value()->Append("short-1").ok());
+      ASSERT_TRUE(opened.value()->Append(long_payload).ok());
+      ASSERT_TRUE(opened.value()->Append(std::string(600, 'c')).ok());
+      ASSERT_TRUE(opened.value()->Flush().ok());
+    }
+    // The header and short-1 end at byte 55; the long record spans bytes
+    // 55-1283, so it holds all of sector 1 and its CRC lies in sector 2,
+    // with the head of the last record.
+    const std::string segment = OnlySegment(dir);
+    WriteBytesAt(segment, sector * wal::kSectorBytes,
+                 std::string(static_cast<size_t>(wal::kSectorBytes), '\0'));
+
+    wal::OpenReport report;
+    auto reopened = wal::Wal::Open(dir, options, &report);
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    EXPECT_TRUE(report.tail_truncated) << sector;
+    EXPECT_EQ(report.corrupt_records, 0) << sector;
+    EXPECT_EQ(report.records, 1) << sector;
+    EXPECT_EQ(report.next_lsn, 2) << sector;
+    reopened->reset();
+    wal::OpenReport verified;
+    ASSERT_TRUE(wal::Wal::Scan(dir, nullptr, &verified).ok());
+    EXPECT_EQ(verified.corrupt_records, 0) << sector;
+    EXPECT_FALSE(verified.tail_truncated) << sector;
+  }
+}
+
+// A bit flip in the newest segment's last record, after it landed, is rot:
+// its CRC trailer and every sector hold written bytes, unlike a record a
+// crash cut. It is counted as corrupt, not cut as a torn tail.
+TEST_F(WalTest, ABitFlipInTheNewestSegmentsLastRecordIsRot) {
+  const std::string dir = TempDir("wal_flip_last");
+  {
+    auto opened = wal::Wal::Open(dir, NonePolicy(), nullptr);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(opened.value()->Append("record-" + std::to_string(i)).ok());
+    }
+    ASSERT_TRUE(opened.value()->Flush().ok());
+  }
+  const std::string segment = OnlySegment(dir);
+  const size_t last = ReadBytes(segment).find("record-2");
+  ASSERT_NE(last, std::string::npos);
+  WriteBytesAt(segment, static_cast<int64_t>(last) + 3, "X");
+
+  wal::OpenReport scanned;
+  ASSERT_TRUE(wal::Wal::Scan(dir, nullptr, &scanned).ok());
+  EXPECT_EQ(scanned.corrupt_records, 1);
+  EXPECT_FALSE(scanned.tail_truncated);
+  EXPECT_EQ(scanned.torn_bytes, 0);
+  EXPECT_EQ(scanned.records, 2);
+}
+
+// A crash can take the header of a newly created segment. Its name still
+// says which LSNs were handed out before it, so the next segment is not
+// named, and does not sort, below it.
+TEST_F(WalTest, ASegmentWhoseHeaderWasLostStillNamesTheNextLsn) {
+  const std::string dir = TempDir("wal_lost_header");
+  std::filesystem::create_directories(dir);
+  {
+    std::ofstream sealed(dir + "/wal-00000000000000000001.seg",
+                         std::ios::binary);
+    sealed << UnpaddedSegment(1, {{1, "one"}, {2, "two"}});
+    std::ofstream newest(dir + "/wal-00000000000000000009.seg",
+                         std::ios::binary);
+    newest << std::string(64, '\0');
+  }
+  wal::OpenReport report;
+  auto reopened = wal::Wal::Open(dir, NonePolicy(), &report);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ(report.corrupt_records, 0);
+  EXPECT_EQ(report.next_lsn, 9);
+  const auto lsn = reopened.value()->Append("nine");
+  ASSERT_TRUE(lsn.ok()) << lsn.status();
+  EXPECT_EQ(lsn.value(), 9);
+  ASSERT_TRUE(reopened.value()->Flush().ok());
+  reopened->reset();
+  EXPECT_EQ(Records(dir).size(), 3u);
+  wal::OpenReport verified;
+  ASSERT_TRUE(wal::Wal::Scan(dir, nullptr, &verified).ok());
+  EXPECT_EQ(verified.corrupt_records, 0);
+}
+
+// A segment carries zero fill after its last record, up to segment_bytes:
+// the newest one, and each one sealed since, when a reopen starts a fresh
+// segment. An all-zero remainder is a clean end: no torn bytes, no corrupt
+// record.
+TEST_F(WalTest, AZeroTailIsACleanEndOfSealedAndNewestSegments) {
+  const std::string dir = TempDir("wal_zero_tail");
+  wal::Options options = NonePolicy();
+  options.segment_bytes = 4096;
+  for (int session = 0; session < 2; ++session) {
+    auto opened = wal::Wal::Open(dir, options, nullptr);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(opened.value()->Append("zero-tail-" + std::to_string(i)).ok());
+    }
+    ASSERT_TRUE(opened.value()->Flush().ok());
+  }
+  int padded = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string bytes = ReadBytes(entry.path().string());
+    EXPECT_EQ(bytes.size(), 4096u) << entry.path();
+    if (bytes.find_last_not_of('\0') < 512) ++padded;
+  }
+  EXPECT_EQ(padded, 2) << "expected a sealed and a newest zero-filled segment";
+
+  wal::OpenReport scanned;
+  ASSERT_TRUE(wal::Wal::Scan(dir, nullptr, &scanned).ok());
+  EXPECT_EQ(scanned.segments, 2);
+  EXPECT_EQ(scanned.records, 6);
+  EXPECT_EQ(scanned.torn_bytes, 0);
+  EXPECT_FALSE(scanned.tail_truncated);
+  EXPECT_EQ(scanned.corrupt_records, 0);
+
+  wal::OpenReport reopened_report;
+  auto reopened = wal::Wal::Open(dir, options, &reopened_report);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ(reopened_report.records, 6);
+  EXPECT_EQ(reopened_report.torn_bytes, 0);
+  EXPECT_EQ(reopened_report.corrupt_records, 0);
+  EXPECT_EQ(reopened_report.next_lsn, 7);
+}
+
+// A log written before the zero fill — segments that end at their last
+// record — recovers unchanged, and the writer continues it.
+TEST_F(WalTest, ASegmentInTheUnpaddedLayoutRecovers) {
+  const std::string dir = TempDir("wal_unpadded");
+  std::filesystem::create_directories(dir);
+  {
+    std::ofstream sealed(dir + "/wal-00000000000000000001.seg",
+                         std::ios::binary);
+    sealed << UnpaddedSegment(1, {{1, "old-1"}, {2, "old-2"}});
+    std::ofstream newest(dir + "/wal-00000000000000000003.seg",
+                         std::ios::binary);
+    newest << UnpaddedSegment(3, {{3, "old-3"}});
+  }
+  wal::OpenReport report;
+  {
+    auto opened = wal::Wal::Open(dir, NonePolicy(), &report);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    EXPECT_EQ(report.records, 3);
+    EXPECT_EQ(report.torn_bytes, 0);
+    EXPECT_EQ(report.corrupt_records, 0);
+    const auto lsn = opened.value()->Append("new-4");
+    ASSERT_TRUE(lsn.ok()) << lsn.status();
+    EXPECT_EQ(lsn.value(), 4);
+    ASSERT_TRUE(opened.value()->Flush().ok());
+  }
+  const auto records = Records(dir);
+  ASSERT_EQ(records.size(), 4u);
+  EXPECT_EQ(records[0], (std::pair<int64_t, std::string>{1, "old-1"}));
+  EXPECT_EQ(records[2], (std::pair<int64_t, std::string>{3, "old-3"}));
+  EXPECT_EQ(records[3], (std::pair<int64_t, std::string>{4, "new-4"}));
+}
+
+// A record longer than one zero-fill step, or than a whole segment, is
+// filled for and written whole, and recovers whole.
+TEST_F(WalTest, RecordsLongerThanTheFillStepOrASegmentAreWrittenWhole) {
+  const std::string dir = TempDir("wal_big_records");
+  wal::Options options = NonePolicy();
+  options.segment_bytes = 64 * 1024;
+  const std::string past_fill(300 * 1024, 'f');     // > the 256 KiB step
+  const std::string past_segment(100 * 1024, 's');  // > segment_bytes
+  {
+    auto opened = wal::Wal::Open(dir, options, nullptr);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    ASSERT_TRUE(opened.value()->Append("small").ok());
+    ASSERT_TRUE(opened.value()->Append(past_fill).ok());
+    ASSERT_TRUE(opened.value()->Append(past_segment).ok());
+    ASSERT_TRUE(opened.value()->Append("after").ok());
+    ASSERT_TRUE(opened.value()->Flush().ok());
+  }
+  wal::OpenReport report;
+  auto reopened = wal::Wal::Open(dir, options, &report);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ(report.records, 4);
+  EXPECT_EQ(report.torn_bytes, 0);
+  EXPECT_EQ(report.corrupt_records, 0);
+  const auto records = Records(dir);
+  ASSERT_EQ(records.size(), 4u);
+  EXPECT_EQ(records[1].second, past_fill);
+  EXPECT_EQ(records[2].second, past_segment);
+  EXPECT_EQ(records[3].second, "after");
+}
+
+// A failed write is cut back to the record boundary and the zero fill
+// restarts there: the next record lands right after the last whole one.
+TEST_F(WalTest, AppendAfterAnInjectedShortWriteLandsAtTheRecordBoundary) {
+  const std::string dir = TempDir("wal_short_write");
+  {
+    auto opened = wal::Wal::Open(dir, NonePolicy(), nullptr);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    ASSERT_TRUE(opened.value()->Append("before").ok());
+    {
+      fault::ScopedFault armed("wal.append.short", 1);
+      EXPECT_FALSE(opened.value()->Append("torn-away").ok());
+    }
+    const auto lsn = opened.value()->Append("after");
+    ASSERT_TRUE(lsn.ok()) << lsn.status();
+    EXPECT_EQ(lsn.value(), 2);
+    ASSERT_TRUE(opened.value()->Flush().ok());
+  }
+  const std::string bytes = ReadBytes(OnlySegment(dir));
+  const size_t before = bytes.find("before");
+  const size_t after = bytes.find("after");
+  ASSERT_NE(before, std::string::npos);
+  ASSERT_NE(after, std::string::npos);
+  // The next frame starts right after "before"'s CRC: a 16-byte head and
+  // the u64 LSN precede its payload.
+  EXPECT_EQ(after, before + 6 + 4 + 16 + 8);
+  EXPECT_EQ(bytes.find("torn-away"), std::string::npos);
+  wal::OpenReport report;
+  ASSERT_TRUE(wal::Wal::Scan(dir, nullptr, &report).ok());
+  EXPECT_EQ(report.records, 2);
+  EXPECT_EQ(report.torn_bytes, 0);
+  EXPECT_EQ(report.corrupt_records, 0);
 }
 
 TEST_F(WalTest, PolicySpecRoundTripsAndRejectsGarbage) {
@@ -486,6 +799,108 @@ TEST_F(WalEngineTest, LoadReanchorsTheWalToTheLoadedState) {
   EXPECT_EQ(recovered.Execute("COUNT wifi").value(), "4");
 }
 
+// Flips one byte inside the last section of the checkpoint at `path`.
+void RotLastSection(const std::string& path) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  const std::string bytes((std::istreambuf_iterator<char>(f)),
+                          std::istreambuf_iterator<char>());
+  ASSERT_GT(bytes.size(), 64u);
+  const size_t at = bytes.size() - 12;  // in the snapshot, before the CRC
+  const char flipped = static_cast<char>(bytes[at] ^ 0x20);
+  f.clear();
+  f.seekp(static_cast<std::streamoff>(at));
+  f.write(&flipped, 1);
+}
+
+// A checkpoint section that rotted costs its stream nothing while the log
+// still holds the stream from its CREATE on: recovery replays it from the
+// oldest retained record, and the next WAL CHECKPOINT holds it again
+// before it truncates. Once a truncation has taken the CREATE, the report
+// names the loss.
+TEST_F(WalEngineTest, ARottedSectionIsRecoveredFromTheLogWhileItHoldsTheStream) {
+  const std::string dir = TempDir("wal_rotted_section");
+  {
+    QueryEngine engine;
+    ASSERT_TRUE(engine.OpenWal(dir, Config(wal::SyncPolicy::kAlways)).ok());
+    ASSERT_TRUE(engine.Execute("CREATE a 64 8").ok());
+    ASSERT_TRUE(engine.Execute("APPEND a 1 2 3").ok());
+    EXPECT_NE(engine.Execute("WAL CHECKPOINT").value().find(
+                  "wal truncated below lsn 3"),
+              std::string::npos);
+    ASSERT_TRUE(engine.CloseWal().ok());
+  }
+  RotLastSection(dir + "/checkpoint.shcp");
+  {
+    QueryEngine recovered;
+    const auto recovery =
+        recovered.OpenWal(dir, Config(wal::SyncPolicy::kAlways));
+    ASSERT_TRUE(recovery.ok()) << recovery.status();
+    EXPECT_NE(recovery->checkpoint_summary.find("dropped 1"),
+              std::string::npos)
+        << recovery->checkpoint_summary;
+    EXPECT_EQ(recovery->recovered_from_log, std::vector<std::string>{"a"});
+    EXPECT_EQ(recovery->sections_lost, 0);
+    EXPECT_NE(recovery->ToString().find("recovered from the log: a"),
+              std::string::npos)
+        << recovery->ToString();
+    EXPECT_EQ(recovered.Execute("COUNT a").value(), "3");
+    EXPECT_EQ(recovered.Execute("SUM a 0 3").value(), "6");
+    // The next checkpoint holds the stream again, so its truncation is safe.
+    ASSERT_TRUE(recovered.Execute("APPEND a 4").ok());
+    ASSERT_TRUE(recovered.Execute("WAL CHECKPOINT").ok());
+    ASSERT_TRUE(recovered.CloseWal().ok());
+  }
+  {
+    QueryEngine again;
+    const auto recovery = again.OpenWal(dir, Config(wal::SyncPolicy::kAlways));
+    ASSERT_TRUE(recovery.ok()) << recovery.status();
+    EXPECT_TRUE(recovery->recovered_from_log.empty());
+    EXPECT_EQ(again.Execute("COUNT a").value(), "4");
+    ASSERT_TRUE(again.CloseWal().ok());
+  }
+  // Rot again after a checkpoint whose truncation took the CREATE's
+  // segment: the stream is lost, and the report says so.
+  RotLastSection(dir + "/checkpoint.shcp");
+  QueryEngine lost;
+  const auto recovery = lost.OpenWal(dir, Config(wal::SyncPolicy::kAlways));
+  ASSERT_TRUE(recovery.ok()) << recovery.status();
+  EXPECT_TRUE(recovery->recovered_from_log.empty());
+  EXPECT_EQ(recovery->sections_lost, 1);
+  EXPECT_NE(recovery->ToString().find("lost 1 dropped section"),
+            std::string::npos)
+      << recovery->ToString();
+  EXPECT_FALSE(lost.Execute("COUNT a").ok());
+}
+
+// LOAD seals the segment that holds the replaced registry's records before
+// its checkpoint truncates, so a later replay from the oldest retained
+// record cannot bring a replaced stream back.
+TEST_F(WalEngineTest, ARotReplayAfterLoadDoesNotResurrectReplacedStreams) {
+  const std::string checkpoint = TempDir("wal_foreign_rot.shcp");
+  {
+    QueryEngine other;  // no WAL: a "foreign" checkpoint
+    ASSERT_TRUE(other.Execute("CREATE wifi 32 4").ok());
+    ASSERT_TRUE(other.Execute("APPEND wifi 10 20 30").ok());
+    ASSERT_TRUE(other.Execute("SAVE " + checkpoint).ok());
+  }
+  const std::string dir = TempDir("wal_engine_load_rot");
+  {
+    QueryEngine engine;
+    ASSERT_TRUE(engine.OpenWal(dir, Config()).ok());
+    ASSERT_TRUE(engine.Execute("CREATE eth0 64 8").ok());
+    ASSERT_TRUE(engine.Execute("APPEND eth0 1 2 3 4").ok());
+    ASSERT_TRUE(engine.Execute("LOAD " + checkpoint).ok());
+    ASSERT_TRUE(engine.CloseWal().ok());
+  }
+  RotLastSection(dir + "/checkpoint.shcp");
+  QueryEngine recovered;
+  const auto recovery = recovered.OpenWal(dir, Config());
+  ASSERT_TRUE(recovery.ok()) << recovery.status();
+  EXPECT_FALSE(recovered.Execute("COUNT eth0").ok()) << recovery->ToString();
+  EXPECT_TRUE(recovery->recovered_from_log.empty());
+  EXPECT_EQ(recovery->sections_lost, 1);  // wifi's CREATE was never logged
+}
+
 TEST_F(WalTest, ReplayResumesAtEveryLsnIncludingSegmentBoundaries) {
   // Replication resumes a subscriber at an arbitrary LSN — most awkwardly
   // at exactly the first record of a segment, where the reader must skip
@@ -575,15 +990,56 @@ TEST_F(WalTest, ReadTailReadsOnlyPastTheCursor) {
     ASSERT_EQ(batch.records.size(), 1u);
     EXPECT_EQ(batch.records[0].first, lsn.value());
   }
-  int64_t segment_bytes = 0;
-  int segments = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    segment_bytes += static_cast<int64_t>(entry.file_size());
-    ++segments;
+  ASSERT_EQ(log.stats().segments_created, 1);
+  // The frames written (header aside); the segment file is longer by its
+  // zero fill, which a tailing reader never reads.
+  const int64_t written = log.stats().bytes;
+  EXPECT_LT(recorder.bytes_read(), 2 * written)
+      << written << " frame bytes written";
+}
+
+// A replica draining a backlog reads each record about once: every call
+// reads at most its byte budget plus the one frame that budget ends inside.
+// Reading to the end of the segment on every call read 34,211,868 bytes for
+// these 4,112,000. A caught-up poll reads nothing, zero fill included.
+TEST_F(WalTest, ReadTailReadsAtMostItsBudgetPlusOneFrame) {
+  const std::string dir = TempDir("wal_tail_budget");
+  RecordingFileSystem recorder;
+  const ScopedFileSystem recording(&recorder);
+  auto opened = wal::Wal::Open(dir, NonePolicy(), nullptr);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  wal::Wal& log = *opened.value();
+  const std::string payload(1000, 'p');
+  for (int i = 0; i < 4000; ++i) ASSERT_TRUE(log.Append(payload).ok());
+  ASSERT_TRUE(log.Flush().ok());
+  ASSERT_EQ(log.stats().segments_created, 1);
+  const int64_t written = log.stats().bytes;
+
+  constexpr int64_t kBatchBytes = 256 * 1024;
+  wal::TailCursor cursor;
+  int64_t received = 0;
+  while (true) {
+    const int64_t read_before = recorder.bytes_read();
+    wal::TailBatch batch;
+    ASSERT_TRUE(log.ReadTail(&cursor, kBatchBytes, &batch).ok());
+    EXPECT_FALSE(batch.truncated_below);
+    EXPECT_LE(recorder.bytes_read() - read_before,
+              kBatchBytes + static_cast<int64_t>(payload.size()) + 28);
+    if (batch.records.empty()) break;
+    for (const auto& [lsn, body] : batch.records) {
+      EXPECT_EQ(lsn, received + 1);
+      ++received;
+    }
   }
-  ASSERT_EQ(segments, 1);
-  EXPECT_LT(recorder.bytes_read(), 2 * segment_bytes)
-      << "segment is " << segment_bytes << " bytes";
+  EXPECT_EQ(received, 4000);
+  EXPECT_LT(recorder.bytes_read(), 2 * written)
+      << written << " frame bytes written";
+
+  const int64_t drained = recorder.bytes_read();
+  wal::TailBatch batch;
+  ASSERT_TRUE(log.ReadTail(&cursor, kBatchBytes, &batch).ok());
+  EXPECT_TRUE(batch.records.empty());
+  EXPECT_EQ(recorder.bytes_read(), drained) << "a caught-up poll read bytes";
 }
 
 TEST_F(WalTest, AppendAtAndAlignNextLsnKeepTheReplicaLogMonotonic) {
