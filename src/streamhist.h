@@ -11,7 +11,6 @@
 #include "src/core/heuristics.h"
 #include "src/core/histogram.h"
 #include "src/core/histogram_io.h"
-#include "src/core/time_window.h"
 #include "src/core/vopt_dp.h"
 #include "src/data/generators.h"
 #include "src/data/io.h"
@@ -27,7 +26,6 @@
 #include "src/sketch/l1_sketch.h"
 #include "src/stream/prefix_sums.h"
 #include "src/stream/sliding_window.h"
-#include "src/stream/sources.h"
 #include "src/timeseries/apca.h"
 #include "src/timeseries/distance.h"
 #include "src/timeseries/indexed_search.h"

@@ -1,6 +1,10 @@
 #include "src/core/fixed_window.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -269,6 +273,190 @@ INSTANTIATE_TEST_SUITE_P(
                       GuaranteeCase{"piecewise", 96, 6, 0.2, 22},
                       GuaranteeCase{"zipf", 64, 4, 1.0, 23},
                       GuaranteeCase{"utilization", 128, 8, 0.5, 24}));
+
+// --- Bit-identity pin ---
+//
+// A rebuild is a pure function of the window contents. This table pins, per
+// configuration, a digest of everything a rebuild reports (ApproxError bits,
+// each bucket's begin/end/value bits, BucketErrors bits) over seeded AR(1)
+// windows, plus the summed HERROR evaluations and interval counts, so any
+// change to the rebuild's scratch handling that alters a single bit or a
+// single evaluation fails here.
+
+uint64_t MixWord(uint64_t digest, uint64_t word) {
+  for (int byte = 0; byte < 8; ++byte) {  // FNV-1a over the word's bytes
+    digest ^= (word >> (8 * byte)) & 0xff;
+    digest *= 0x100000001b3ULL;
+  }
+  return digest;
+}
+
+uint64_t MixDouble(uint64_t digest, double value) {
+  return MixWord(digest, std::bit_cast<uint64_t>(value));
+}
+
+struct PinnedRebuild {
+  uint64_t digest;
+  int64_t herror_evals;
+  int64_t total_intervals;
+};
+
+// Feeds 1.5 windows (plus 3) of AR(1) values. Eager instances take all but
+// the last three as one batch and the rest one at a time, so each eager case
+// covers four rebuilds; lazy instances rebuild once, on the first query.
+PinnedRebuild RunPinnedCase(int64_t window, int64_t buckets, double epsilon,
+                            WindowErrorMetric metric, bool eager) {
+  FixedWindowOptions options;
+  options.window_size = window;
+  options.num_buckets = buckets;
+  options.epsilon = epsilon;
+  options.rebuild_on_append = eager;
+  options.metric = metric;
+  FixedWindowHistogram fw = FixedWindowHistogram::Create(options).value();
+
+  Random rng(static_cast<uint64_t>(1000 + window));
+  std::vector<double> values(static_cast<size_t>(window + window / 2 + 3));
+  double x = 0.0;
+  for (double& v : values) {
+    x = 0.9 * x + rng.Gaussian(0.0, 10.0);
+    v = 100.0 + x;
+  }
+  const size_t head = eager ? values.size() - 3 : 0;
+  fw.AppendBatch(std::span<const double>(values.data(), head));
+  for (size_t i = head; i < values.size(); ++i) fw.Append(values[i]);
+
+  uint64_t digest = 0xcbf29ce484222325ULL;
+  digest = MixDouble(digest, fw.ApproxError());
+  const Histogram& h = fw.Extract();
+  digest = MixWord(digest, static_cast<uint64_t>(h.num_buckets()));
+  for (const Bucket& b : h.buckets()) {
+    digest = MixWord(digest, static_cast<uint64_t>(b.begin));
+    digest = MixWord(digest, static_cast<uint64_t>(b.end));
+    digest = MixDouble(digest, b.value);
+  }
+  if (metric == WindowErrorMetric::kSse) {
+    for (double e : fw.BucketErrors()) digest = MixDouble(digest, e);
+  }
+  return PinnedRebuild{digest, fw.last_herror_evals(),
+                       fw.last_total_intervals()};
+}
+
+// Case order: window, buckets, epsilon, metric (SSE, max-abs), then lazy
+// before eager.
+constexpr uint64_t kPinnedDigests[] = {
+    0xe41298031080a165ULL, 0xe41298031080a165ULL, 0xd4a262e133c5d6c5ULL,
+    0xd4a262e133c5d6c5ULL, 0xe41298031080a165ULL, 0xe41298031080a165ULL,
+    0xd4a262e133c5d6c5ULL, 0xd4a262e133c5d6c5ULL, 0xe41298031080a165ULL,
+    0xe41298031080a165ULL, 0xd4a262e133c5d6c5ULL, 0xd4a262e133c5d6c5ULL,
+    0xe41298031080a165ULL, 0xe41298031080a165ULL, 0xd4a262e133c5d6c5ULL,
+    0xd4a262e133c5d6c5ULL, 0xe41298031080a165ULL, 0xe41298031080a165ULL,
+    0xd4a262e133c5d6c5ULL, 0xd4a262e133c5d6c5ULL, 0xe41298031080a165ULL,
+    0xe41298031080a165ULL, 0xd4a262e133c5d6c5ULL, 0xd4a262e133c5d6c5ULL,
+    0xe41298031080a165ULL, 0xe41298031080a165ULL, 0xd4a262e133c5d6c5ULL,
+    0xd4a262e133c5d6c5ULL, 0xe41298031080a165ULL, 0xe41298031080a165ULL,
+    0xd4a262e133c5d6c5ULL, 0xd4a262e133c5d6c5ULL, 0xe41298031080a165ULL,
+    0xe41298031080a165ULL, 0xd4a262e133c5d6c5ULL, 0xd4a262e133c5d6c5ULL,
+    0xe41298031080a165ULL, 0xe41298031080a165ULL, 0xd4a262e133c5d6c5ULL,
+    0xd4a262e133c5d6c5ULL, 0xe41298031080a165ULL, 0xe41298031080a165ULL,
+    0xd4a262e133c5d6c5ULL, 0xd4a262e133c5d6c5ULL, 0xe41298031080a165ULL,
+    0xe41298031080a165ULL, 0xd4a262e133c5d6c5ULL, 0xd4a262e133c5d6c5ULL,
+    0x128d86e4eed43b8bULL, 0x128d86e4eed43b8bULL, 0x1e96b502d8b85b13ULL,
+    0x1e96b502d8b85b13ULL, 0x128d86e4eed43b8bULL, 0x128d86e4eed43b8bULL,
+    0x1e96b502d8b85b13ULL, 0x1e96b502d8b85b13ULL, 0x128d86e4eed43b8bULL,
+    0x128d86e4eed43b8bULL, 0x1e96b502d8b85b13ULL, 0x1e96b502d8b85b13ULL,
+    0x4d6a6825efef8ef0ULL, 0x4d6a6825efef8ef0ULL, 0x8d87b10ea146cdc5ULL,
+    0x8d87b10ea146cdc5ULL, 0x4d6a6825efef8ef0ULL, 0x4d6a6825efef8ef0ULL,
+    0x8d87b10ea146cdc5ULL, 0x8d87b10ea146cdc5ULL, 0x4d6a6825efef8ef0ULL,
+    0x4d6a6825efef8ef0ULL, 0x8d87b10ea146cdc5ULL, 0x8d87b10ea146cdc5ULL,
+    0x20ae7b338dc08d73ULL, 0x20ae7b338dc08d73ULL, 0x7b8a5c1767e642f5ULL,
+    0x7b8a5c1767e642f5ULL, 0x20ae7b338dc08d73ULL, 0x20ae7b338dc08d73ULL,
+    0x7b8a5c1767e642f5ULL, 0x7b8a5c1767e642f5ULL, 0x20ae7b338dc08d73ULL,
+    0x20ae7b338dc08d73ULL, 0x7b8a5c1767e642f5ULL, 0x7b8a5c1767e642f5ULL,
+    0x84d28ad5d295776dULL, 0x84d28ad5d295776dULL, 0x2b7261f443ad1a0dULL,
+    0x2b7261f443ad1a0dULL, 0x84d28ad5d295776dULL, 0x84d28ad5d295776dULL,
+    0x2b7261f443ad1a0dULL, 0x2b7261f443ad1a0dULL, 0x84d28ad5d295776dULL,
+    0x84d28ad5d295776dULL, 0x2b7261f443ad1a0dULL, 0x2b7261f443ad1a0dULL,
+    0x079c661e9180326bULL, 0x079c661e9180326bULL, 0x40d3728cb696042dULL,
+    0x40d3728cb696042dULL, 0x079c661e9180326bULL, 0x079c661e9180326bULL,
+    0x40d3728cb696042dULL, 0x40d3728cb696042dULL, 0x079c661e9180326bULL,
+    0x079c661e9180326bULL, 0x40d3728cb696042dULL, 0x40d3728cb696042dULL,
+    0x47b3788ca5a162edULL, 0x47b3788ca5a162edULL, 0xb0a9aca4b6637860ULL,
+    0xb0a9aca4b6637860ULL, 0x47b3788ca5a162edULL, 0x47b3788ca5a162edULL,
+    0xb0a9aca4b6637860ULL, 0xb0a9aca4b6637860ULL, 0x47b3788ca5a162edULL,
+    0x47b3788ca5a162edULL, 0xb0a9aca4b6637860ULL, 0xb0a9aca4b6637860ULL,
+    0x0b7e6eaa08d06b14ULL, 0x0b7e6eaa08d06b14ULL, 0x4512fb566d4c7a4fULL,
+    0x4512fb566d4c7a4fULL, 0x0b7e6eaa08d06b14ULL, 0x0b7e6eaa08d06b14ULL,
+    0x4512fb566d4c7a4fULL, 0x4512fb566d4c7a4fULL, 0x0b7e6eaa08d06b14ULL,
+    0x0b7e6eaa08d06b14ULL, 0x4512fb566d4c7a4fULL, 0x4512fb566d4c7a4fULL,
+    0xc86ea20488dc6906ULL, 0xc86ea20488dc6906ULL, 0x3097630d91885925ULL,
+    0x3097630d91885925ULL, 0xc86ea20488dc6906ULL, 0xc86ea20488dc6906ULL,
+    0x3097630d91885925ULL, 0x3097630d91885925ULL, 0xc86ea20488dc6906ULL,
+    0xc86ea20488dc6906ULL, 0x3097630d91885925ULL, 0x3097630d91885925ULL,
+    0xcb4fdf910fb95223ULL, 0xcb4fdf910fb95223ULL, 0x1125853046984f54ULL,
+    0x1125853046984f54ULL, 0xcb4fdf910fb95223ULL, 0xcb4fdf910fb95223ULL,
+    0x1125853046984f54ULL, 0x1125853046984f54ULL, 0xcb4fdf910fb95223ULL,
+    0xcb4fdf910fb95223ULL, 0x1125853046984f54ULL, 0x1125853046984f54ULL,
+    0x226a4c760bf5f2daULL, 0x226a4c760bf5f2daULL, 0xa915736a1a546706ULL,
+    0xa915736a1a546706ULL, 0xe1811ae0145998b1ULL, 0xe1811ae0145998b1ULL,
+    0xa915736a1a546706ULL, 0xa915736a1a546706ULL, 0x3ba72eef4eadb6acULL,
+    0x3ba72eef4eadb6acULL, 0xa915736a1a546706ULL, 0xa915736a1a546706ULL,
+    0x1a711994f3a2ec00ULL, 0x1a711994f3a2ec00ULL, 0x9c13f5e8cabb2a3cULL,
+    0x9c13f5e8cabb2a3cULL, 0x1a711994f3a2ec00ULL, 0x1a711994f3a2ec00ULL,
+    0x9c13f5e8cabb2a3cULL, 0x9c13f5e8cabb2a3cULL, 0x66bd935f93d709e8ULL,
+    0x66bd935f93d709e8ULL, 0x9c13f5e8cabb2a3cULL, 0x9c13f5e8cabb2a3cULL,
+    0xea7182de4752e9c9ULL, 0xea7182de4752e9c9ULL, 0x7d7778c710a3cf65ULL,
+    0x7d7778c710a3cf65ULL, 0xea7182de4752e9c9ULL, 0xea7182de4752e9c9ULL,
+    0x7d7778c710a3cf65ULL, 0x7d7778c710a3cf65ULL, 0xaf1a13d55ef7aff3ULL,
+    0xaf1a13d55ef7aff3ULL, 0x7d7778c710a3cf65ULL, 0x7d7778c710a3cf65ULL,
+    0xca51fb0711731624ULL, 0xca51fb0711731624ULL, 0x996390a1526767f8ULL,
+    0x996390a1526767f8ULL, 0xca51fb0711731624ULL, 0xca51fb0711731624ULL,
+    0x996390a1526767f8ULL, 0x996390a1526767f8ULL, 0xca51fb0711731624ULL,
+    0xca51fb0711731624ULL, 0x996390a1526767f8ULL, 0x996390a1526767f8ULL,
+    0x727abc486be94b9eULL, 0x727abc486be94b9eULL, 0x7e8733f93642f45aULL,
+    0x7e8733f93642f45aULL, 0xfd2ebc82577beb2dULL, 0xfd2ebc82577beb2dULL,
+    0x7e8733f93642f45aULL, 0x7e8733f93642f45aULL, 0x6b59f09dbd7075d5ULL,
+    0x6b59f09dbd7075d5ULL, 0x7e8733f93642f45aULL, 0x7e8733f93642f45aULL,
+    0x089550fe29e138a8ULL, 0x089550fe29e138a8ULL, 0x5a0a82e12ddfa016ULL,
+    0x5a0a82e12ddfa016ULL, 0x22e94b2738f9851dULL, 0x22e94b2738f9851dULL,
+    0x5a0a82e12ddfa016ULL, 0x5a0a82e12ddfa016ULL, 0xa069335ee1f60142ULL,
+    0xa069335ee1f60142ULL, 0x5a0a82e12ddfa016ULL, 0x5a0a82e12ddfa016ULL,
+    0x301c471b3b9e10daULL, 0x301c471b3b9e10daULL, 0x30a7c6bc8d04bf3dULL,
+    0x30a7c6bc8d04bf3dULL, 0x36feac3dc13e8009ULL, 0x36feac3dc13e8009ULL,
+    0x30a7c6bc8d04bf3dULL, 0x30a7c6bc8d04bf3dULL, 0x7022acb77ba185d4ULL,
+    0x7022acb77ba185d4ULL, 0x30a7c6bc8d04bf3dULL, 0x30a7c6bc8d04bf3dULL,
+};
+constexpr int64_t kPinnedHerrorEvals = 240116;
+constexpr int64_t kPinnedTotalIntervals = 80284;
+
+TEST(FixedWindowPinnedTest, RebuildsMatchThePinnedTable) {
+  size_t index = 0;
+  int64_t herror_evals = 0;
+  int64_t total_intervals = 0;
+  for (int64_t window : {1, 7, 64, 300, 1024}) {
+    for (int64_t buckets : {1, 2, 5, 16}) {
+      for (double epsilon : {0.05, 0.1, 1.0}) {
+        for (WindowErrorMetric metric :
+             {WindowErrorMetric::kSse, WindowErrorMetric::kMaxAbs}) {
+          for (bool eager : {false, true}) {
+            const PinnedRebuild got =
+                RunPinnedCase(window, buckets, epsilon, metric, eager);
+            ASSERT_LT(index, std::size(kPinnedDigests));
+            EXPECT_EQ(got.digest, kPinnedDigests[index])
+                << "W=" << window << " B=" << buckets << " eps=" << epsilon
+                << " metric=" << static_cast<int>(metric)
+                << " eager=" << eager;
+            herror_evals += got.herror_evals;
+            total_intervals += got.total_intervals;
+            ++index;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(index, std::size(kPinnedDigests));
+  EXPECT_EQ(herror_evals, kPinnedHerrorEvals);
+  EXPECT_EQ(total_intervals, kPinnedTotalIntervals);
+}
 
 }  // namespace
 }  // namespace streamhist

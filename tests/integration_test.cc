@@ -75,8 +75,7 @@ TEST(IntegrationTest, WarehousePipelineAgglomerativeVsOptimal) {
   options.num_buckets = buckets;
   options.epsilon = 0.1;
   AgglomerativeHistogram agg = AgglomerativeHistogram::Create(options).value();
-  VectorSource source(data);
-  while (auto v = source.Next()) agg.Append(*v);
+  for (double v : data) agg.Append(v);
   const Histogram approx = agg.Extract();
   const Histogram optimal = BuildVOptimalHistogram(data, buckets).histogram;
 

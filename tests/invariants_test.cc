@@ -159,30 +159,5 @@ TEST(InvariantsTest, DegenerateBucketCountsAgreeWithDp) {
   }
 }
 
-// Batch and pointwise feeds commute with eviction for partially-filled
-// time-like usage of the fixed window.
-TEST(InvariantsTest, EvictionCommutesWithLazyRebuild) {
-  FixedWindowOptions options;
-  options.window_size = 32;
-  options.num_buckets = 4;
-  options.epsilon = 0.4;
-  options.rebuild_on_append = false;
-  FixedWindowHistogram a = FixedWindowHistogram::Create(options).value();
-  FixedWindowHistogram b = FixedWindowHistogram::Create(options).value();
-  Random rng(29);
-  std::vector<double> values;
-  for (int i = 0; i < 20; ++i) values.push_back(rng.UniformInt(0, 50));
-
-  for (double v : values) a.Append(v);
-  a.EvictOldest();
-  a.EvictOldest();
-
-  // b receives the already-evicted suffix directly.
-  for (size_t i = 2; i < values.size(); ++i) b.Append(values[i]);
-
-  EXPECT_EQ(a.Extract(), b.Extract());
-  EXPECT_DOUBLE_EQ(a.ApproxError(), b.ApproxError());
-}
-
 }  // namespace
 }  // namespace streamhist

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/stream/sources.h"
 #include "src/util/random.h"
 
 namespace streamhist {
@@ -112,34 +111,22 @@ TEST(SlidingWindowTest, LargeOffsetValuesStayAccurate) {
   EXPECT_NEAR(w.SqError(0, 64), sse, 1e-3);
 }
 
-TEST(StreamSourcesTest, VectorSourceReplaysAndResets) {
-  VectorSource source({1.0, 2.0, 3.0});
-  EXPECT_EQ(source.Next(), 1.0);
-  EXPECT_EQ(source.Next(), 2.0);
-  EXPECT_EQ(source.Next(), 3.0);
-  EXPECT_FALSE(source.Next().has_value());
-  source.Reset();
-  EXPECT_EQ(source.Next(), 1.0);
-}
-
-TEST(StreamSourcesTest, GeneratorSourceProducesOnDemand) {
-  int64_t i = 0;
-  GeneratorSource source([&]() -> std::optional<double> {
-    if (i >= 4) return std::nullopt;
-    return static_cast<double>(i++);
-  });
-  EXPECT_EQ(Drain(source, 100), (std::vector<double>{0, 1, 2, 3}));
-}
-
-TEST(StreamSourcesTest, LimitSourceTruncates) {
-  VectorSource inner({1.0, 2.0, 3.0, 4.0, 5.0});
-  LimitSource limited(&inner, 2);
-  EXPECT_EQ(Drain(limited, 100), (std::vector<double>{1, 2}));
-}
-
-TEST(StreamSourcesTest, DrainRespectsMaxPoints) {
-  VectorSource source({1.0, 2.0, 3.0});
-  EXPECT_EQ(Drain(source, 2), (std::vector<double>{1, 2}));
+TEST(SlidingWindowEvictTest, EvictOldestShrinksAndPreservesSums) {
+  SlidingWindow w(4);
+  for (double v : {1.0, 2.0, 3.0, 4.0}) w.Append(v);
+  w.EvictOldest();
+  EXPECT_EQ(w.size(), 3);
+  EXPECT_DOUBLE_EQ(w[0], 2.0);
+  EXPECT_DOUBLE_EQ(w.Sum(0, 3), 9.0);
+  EXPECT_DOUBLE_EQ(w.SqError(0, 3), 2.0);  // {2,3,4}: mean 3, SSE 2
+  w.EvictOldest();
+  w.EvictOldest();
+  EXPECT_EQ(w.size(), 1);
+  EXPECT_DOUBLE_EQ(w.Sum(0, 1), 4.0);
+  // Refilling after eviction behaves normally.
+  w.Append(7.0);
+  EXPECT_EQ(w.size(), 2);
+  EXPECT_DOUBLE_EQ(w.Sum(0, 2), 11.0);
 }
 
 }  // namespace
