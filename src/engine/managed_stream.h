@@ -319,6 +319,12 @@ class ManagedStream {
   /// allocation happens.
   static int64_t EstimateFootprintBytes(const StreamConfig& config);
 
+  /// Upper bound on the scratch one window rebuild allocates on top of that
+  /// footprint (FixedWindowHistogram::RebuildScratchBytes). It lives only
+  /// while the rebuild runs and is charged to no one then, so CREATE and
+  /// LOAD probe it up front: a stream whose rebuild cannot fit is refused.
+  static int64_t EstimateRebuildScratchBytes(const StreamConfig& config);
+
   /// Changes the offline construction mode for subsequent BUILD queries
   /// (serialized into snapshots). `delta` is ignored under kExact; under
   /// kApprox it must be finite and >= 0.

@@ -276,6 +276,44 @@ int64_t SteadyNowMs() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
+
+Status BudgetRefused(const std::string& name, const std::string& what) {
+  return Status::ResourceExhausted(
+      "memory budget refused stream '" + name + "': " + what + ", used " +
+      std::to_string(governor::Used()) + ", budget " +
+      governor::FormatBytes(governor::Budget()));
+}
+
+// Probes whether one window rebuild's scratch fits on top of what is charged
+// now. That scratch is charged to no one while a rebuild runs, so this probe,
+// released straight away, is what keeps out a stream whose first read would
+// allocate past the budget.
+Status ProbeRebuildScratch(const std::string& name,
+                           const StreamConfig& config) {
+  const int64_t scratch = ManagedStream::EstimateRebuildScratchBytes(config);
+  if (!governor::TryCharge(scratch)) {
+    return BudgetRefused(name, "a window rebuild needs up to " +
+                                   std::to_string(scratch) +
+                                   " bytes of scratch");
+  }
+  governor::Release(scratch);
+  return Status::OK();
+}
+
+// Admission control for a new stream, before anything is allocated: its
+// steady-state footprint must fit, and so must one rebuild's scratch on top
+// of it. The probe charges are released; the stream itself keeps its
+// *actual* footprint charged as it grows (ManagedStream's reconcile).
+Status AdmitStream(const std::string& name, const StreamConfig& config) {
+  const int64_t estimate = ManagedStream::EstimateFootprintBytes(config);
+  if (!governor::TryCharge(estimate)) {
+    return BudgetRefused(name,
+                         "estimated " + std::to_string(estimate) + " bytes");
+  }
+  const Status scratch = ProbeRebuildScratch(name, config);
+  governor::Release(estimate);
+  return scratch;
+}
 }  // namespace
 
 void QueryEngine::EnsureFlusher(int64_t bound_ms) {
@@ -330,19 +368,7 @@ Status QueryEngine::CreateStream(const std::string& name,
   if (registry_.Get(name).ok()) {
     return Status::InvalidArgument("stream '" + name + "' already exists");
   }
-  // Admission control: refuse up front when the stream's steady-state
-  // footprint would bust the memory budget, before anything is allocated.
-  // The probe charge is released immediately — the stream itself keeps its
-  // *actual* footprint charged as it grows (ManagedStream's reconcile).
-  const int64_t estimate = ManagedStream::EstimateFootprintBytes(config);
-  if (!governor::TryCharge(estimate)) {
-    return Status::ResourceExhausted(
-        "memory budget refused stream '" + name + "': estimated " +
-        std::to_string(estimate) + " bytes, used " +
-        std::to_string(governor::Used()) + ", budget " +
-        governor::FormatBytes(governor::Budget()));
-  }
-  governor::Release(estimate);
+  STREAMHIST_RETURN_NOT_OK(AdmitStream(name, config));
   STREAMHIST_ASSIGN_OR_RETURN(ManagedStream stream,
                               ManagedStream::Create(config));
   // Create() resolved the < 0 sentinel against the process default; arm the
@@ -381,15 +407,7 @@ Status QueryEngine::CreateStreamUnlogged(const std::string& name,
   }
   // Same admission probe as the logged path: a budget shrunk since the
   // record was written refuses the stream here (dropped by the caller).
-  const int64_t estimate = ManagedStream::EstimateFootprintBytes(config);
-  if (!governor::TryCharge(estimate)) {
-    return Status::ResourceExhausted(
-        "memory budget refused stream '" + name + "': estimated " +
-        std::to_string(estimate) + " bytes, used " +
-        std::to_string(governor::Used()) + ", budget " +
-        governor::FormatBytes(governor::Budget()));
-  }
-  governor::Release(estimate);
+  STREAMHIST_RETURN_NOT_OK(AdmitStream(name, config));
   STREAMHIST_ASSIGN_OR_RETURN(ManagedStream stream,
                               ManagedStream::Create(config));
   const int64_t staleness_ms = stream.publish_staleness_ms();
@@ -705,6 +723,12 @@ Result<QueryEngine::CheckpointReport> QueryEngine::LoadCheckpointFromBytes(
     Result<ManagedStream> stream = ManagedStream::Restore(snapshot_bytes);
     if (!stream.ok()) {
       drop(std::move(name), stream.status());
+      continue;
+    }
+    // The restored stream charged its footprint; its rebuild must fit too.
+    Status admitted = ProbeRebuildScratch(name, stream->config());
+    if (!admitted.ok()) {
+      drop(std::move(name), std::move(admitted));
       continue;
     }
     if (!restored.emplace(name, std::move(*stream)).second) {

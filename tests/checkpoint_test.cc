@@ -15,6 +15,7 @@
 #include "src/engine/query_engine.h"
 #include "src/util/fileio.h"
 #include "src/util/framing.h"
+#include "src/util/governor.h"
 #include "test_dir.h"
 
 namespace streamhist {
@@ -85,6 +86,34 @@ TEST(CheckpointTest, SaveLoadRoundTripAnswersIdentically) {
   }
 }
 
+TEST(CheckpointTest, LoadDropsAStreamWhoseRebuildCannotFit) {
+  // LOAD probes one window rebuild's scratch on top of each restored
+  // stream, as CREATE does: a budget without room for it drops the section.
+  TempPath path("budget.ckpt");
+  QueryEngine engine;
+  Populate(engine);
+  ASSERT_TRUE(engine.SaveCheckpoint(path.str()).ok());
+  const int64_t scratch =
+      ManagedStream::EstimateRebuildScratchBytes(SmallConfig());
+
+  QueryEngine refused;
+  governor::SetBudgetForTest(governor::Used() + scratch - 1);
+  const auto report = refused.LoadCheckpoint(path.str());
+  governor::SetBudgetForTest(0);
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_EQ(report->dropped.size(), 2u);
+  EXPECT_EQ(report->dropped[0].reason.code(), StatusCode::kResourceExhausted);
+  EXPECT_TRUE(refused.ListStreams().empty());
+
+  QueryEngine admitted;
+  governor::SetBudgetForTest(
+      governor::Used() +
+      2 * (ManagedStream::EstimateFootprintBytes(SmallConfig()) + scratch));
+  const auto loaded = admitted.LoadCheckpoint(path.str());
+  governor::SetBudgetForTest(0);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_TRUE(loaded->fully_loaded());
+}
 TEST(CheckpointTest, HappyPathSaveTakesOneAttempt) {
   TempPath path("one_attempt.ckpt");
   QueryEngine engine;
